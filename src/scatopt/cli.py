@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +58,7 @@ class RunConfig:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
 
     def as_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "mode": self.mode,
-            "p": self.p,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "out": self.out,
-            "instance": self.instance,
-        }
+        return asdict(self)
 
     def delay_bank(self) -> DelayBank:
         mode = "asynchronous" if self.mode == "async" else "synchronous"
@@ -328,6 +318,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except oracles.OracleFailure as exc:
+        print(f"error: reference oracle failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

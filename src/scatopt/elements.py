@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _check(value, name: str, strict: bool = False) -> None:
+    """Reject a negative parameter (a zero one too when `strict`) or a NaN."""
+    v = np.asarray(value)
+    if not np.all(v > 0 if strict else v >= 0):
+        raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'}, got {value}")
+
+
 @dataclass(frozen=True)
 class Quadratic:
     """f(x) = (weight/2) (x - target)^2, applied coordinatewise.
@@ -43,8 +50,7 @@ class Quadratic:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        _check(self.weight, "weight")
 
     def prox(self, d):
         return (d + self.weight * self.target) / (1.0 + self.weight)
@@ -68,10 +74,8 @@ class HuberL1:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
-        if np.any(np.asarray(self.halfwidth) <= 0):
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
+        _check(self.weight, "weight")
+        _check(self.halfwidth, "halfwidth", strict=True)
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
@@ -95,8 +99,7 @@ class SoftThreshold:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
@@ -158,8 +161,7 @@ class Hinge:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
@@ -180,8 +182,7 @@ class PairCoupling:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
@@ -212,8 +213,7 @@ class OneSidedPenalty:
     dissipative = True
 
     def __post_init__(self):
-        if np.any(np.asarray(self.weight) < 0):
-            raise ValueError(f"weight must be nonnegative, got {self.weight}")
+        _check(self.weight, "weight")
         if self.side not in ("upper", "lower"):
             raise ValueError(f"side must be 'upper' or 'lower', got {self.side!r}")
         b = np.asarray(self.bound, dtype=float)
@@ -250,10 +250,8 @@ class CappedL1:
     dissipative = False
 
     def __post_init__(self):
-        if np.any(np.asarray(self.height) < 0):
-            raise ValueError(f"height must be nonnegative, got {self.height}")
-        if np.any(np.asarray(self.notch_width) <= 0):
-            raise ValueError(f"notch_width must be positive, got {self.notch_width}")
+        _check(self.height, "height")
+        _check(self.notch_width, "notch_width", strict=True)
 
     def _candidate_cost(self, x, d):
         return 0.5 * (x - d) ** 2 + self.height * np.minimum(

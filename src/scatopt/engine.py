@@ -10,11 +10,13 @@ primal/dual decision pairs are read out by inverting the pair transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .elements import Element, LinfEpigraph, PairCoupling
+from .elements import LinfEpigraph, PairCoupling
 from .interconnect import AffineInterconnection
 from .pairs import PairTransform, canonical_transform
 
@@ -25,8 +27,6 @@ __all__ = [
     "RunTrace",
     "RunResult",
     "DivergedError",
-    "step_sync",
-    "step_async",
     "run",
     "run_ensemble",
     "run_error_system",
@@ -260,26 +260,47 @@ def fixed_point_residual(system: System, d: np.ndarray) -> float:
     return float(np.linalg.norm(full - d))
 
 
-def step_sync(system: System, state: SystemState) -> SystemState:
-    """One synchronous averaged update."""
-    d = system.candidate(state.d)
-    if not np.all(np.isfinite(d)):
-        raise DivergedError(f"non-finite state after iteration {state.iter + 1}")
-    return SystemState(d=d, iter=state.iter + 1, normalized_iter=state.normalized_iter + 1.0)
+def _norm(x: np.ndarray) -> float:
+    """||x||, rescaled by max|x| where the plain norm overflows on finite x."""
+    n = float(np.linalg.norm(x))
+    if math.isfinite(n) or not np.isfinite(x).all():
+        return n
+    scale = float(np.abs(x).max())
+    return scale * float(np.linalg.norm(x / scale))
 
 
-def step_async(system: System, state: SystemState, bank: DelayBank) -> SystemState:
-    """One asynchronous update: Bernoulli-triggered registers hold or adopt."""
-    if bank.mode != "asynchronous":
-        raise ValueError("step_async requires an asynchronous delay bank")
-    cand = system.candidate(state.d)
-    mask = bank.triggers(system)
-    d = np.where(mask, cand, state.d)
-    if not np.all(np.isfinite(d)):
-        raise DivergedError(f"non-finite state after iteration {state.iter + 1}")
-    return SystemState(
-        d=d, iter=state.iter + 1, normalized_iter=state.normalized_iter + bank.effective_p
-    )
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """`_norm` of every row of a stack of replica states."""
+    n = np.linalg.norm(X, axis=1)
+    return n if np.isfinite(n).all() else np.array([_norm(x) for x in X])
+
+
+def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
+    """The one iteration loop: the registers drawn by `draw()` (all of
+    them without a draw) adopt step(d), until ||step(d) - d|| <= tol (1 +
+    ||d||) holds for the state d (N,) or for every row of a stack (R, N).
+
+    Residuals are appended to `resids`; `observe(d)` sees each iterate.
+    `tol=None` makes exactly `max_iters` updates.  Returns (d, updates,
+    converged); raises `DivergedError` once the state is non-finite.
+    """
+    if d.ndim == 1:
+        norm, isfinite, every = _norm, math.isfinite, bool
+    else:
+        norm, isfinite, every = _row_norms, np.isfinite, np.ndarray.all
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iters):
+            cand = step(d)
+            resid = norm(cand - d)
+            resids.append(resid)
+            if observe is not None:
+                observe(d)
+            if not every(isfinite(resid)) and not np.isfinite(d).all():
+                raise DivergedError(f"non-finite state at iteration {k}")
+            if tol is not None and every(resid <= tol * (1.0 + norm(d))):
+                return d, k, True
+            d = cand if draw is None else np.where(draw(), cand, d)
+    return d, max_iters, False
 
 
 def run(
@@ -297,6 +318,8 @@ def run(
     `d_star` adds oracle residuals ||d - d_star||^2 to the trace;
     `objective` (a callable on the primal mix (c + d)/2) adds objective
     values.  Runs are deterministic functions of (system, bank.seed).
+    Raises `DivergedError`, carrying the trace so far, when the state
+    becomes non-finite.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -305,55 +328,34 @@ def run(
     bank.reset()
     p_eff = bank.effective_p
     d = np.zeros(system.dim) if d0 is None else np.array(d0, dtype=float)
+    draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
+    resids, oresids, objs, states = [], [], [], []
 
-    iters, resids, oresids, objs, states = [], [], [], [], []
-    converged = False
-    k = 0
-    for k in range(max_iters):
-        cand = system.candidate(d)
-        resid = float(np.linalg.norm(cand - d))
-        iters.append(k)
-        resids.append(resid)
+    def observe(d):
         if d_star is not None:
             oresids.append(float(np.sum((d - d_star) ** 2)))
         if objective is not None:
             objs.append(float(objective(system.primal_mix(d))))
         if record_states:
             states.append(d.copy())
-        if not np.isfinite(resid):
-            raise DivergedError(
-                f"non-finite state at iteration {k}", trace=_make_trace(
-                    iters, p_eff, resids, oresids, objs, states)
-            )
-        if resid <= tol * (1.0 + np.linalg.norm(d)):
-            converged = True
-            break
-        mask = bank.triggers(system)
-        d = np.where(mask, cand, d)
 
-    state = SystemState(d=d, iter=k, normalized_iter=k * p_eff)
+    def trace():
+        iters = np.arange(len(resids))
+        return RunTrace(
+            iters, iters * p_eff, np.asarray(resids, dtype=float),
+            oracle_residual=np.asarray(oresids, dtype=float) if oresids else None,
+            objective=np.asarray(objs, dtype=float) if objs else None,
+            states=np.asarray(states) if states else None,
+        )
+
+    try:
+        d, k, converged = _iterate(system.candidate, d, tol, max_iters, resids, draw, observe)
+    except DivergedError as exc:
+        exc.trace = trace()
+        raise
     a, b = readout(system, d)
-    trace = _make_trace(iters, p_eff, resids, oresids, objs, states)
-    return RunResult(
-        converged=converged,
-        state=state,
-        a=a,
-        b=b,
-        z=system.primal_mix(d),
-        trace=trace,
-    )
-
-
-def _make_trace(iters, p_eff, resids, oresids, objs, states):
-    iters = np.asarray(iters, dtype=int)
-    return RunTrace(
-        iters=iters,
-        normalized_iters=iters * p_eff,
-        self_residual=np.asarray(resids, dtype=float),
-        oracle_residual=np.asarray(oresids, dtype=float) if oresids else None,
-        objective=np.asarray(objs, dtype=float) if objs else None,
-        states=np.asarray(states) if states else None,
-    )
+    return RunResult(converged=converged, state=SystemState(d, k, k * p_eff), a=a, b=b,
+                     z=system.primal_mix(d), trace=trace())
 
 
 def run_ensemble(
@@ -366,27 +368,18 @@ def run_ensemble(
 ):
     """Run many asynchronous replicas in lockstep, one per seed.
 
-    Each replica draws its Bernoulli triggers from its own generator, so
-    row i reproduces `run(system, DelayBank("asynchronous", p, seeds[i]))`
-    exactly.  Returns (residuals, final_states): residuals has one row per
-    seed and one column per iteration (gamma-scaled full-update residual).
+    Replica i draws its triggers from `DelayBank("asynchronous", p,
+    seeds[i])`, so row i reproduces that bank's `run` exactly.  Returns
+    (residuals, final_states): residuals has one row per seed and one
+    column per iteration (gamma-scaled full-update residual).  Raises
+    `DivergedError` when any replica's state becomes non-finite.
     """
-    seeds = list(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    n = system.dim
-    D = np.zeros((len(seeds), n)) if d0 is None else np.tile(np.asarray(d0, float), (len(seeds), 1))
-    resid_rows = []
-    for _ in range(max_iters):
-        cand = (1.0 - system.gamma) * D + system.gamma * system.interconnection.apply(
-            system.apply_elements(D)
-        )
-        resid = np.linalg.norm(cand - D, axis=1)
-        resid_rows.append(resid)
-        if np.all(resid <= tol * (1.0 + np.linalg.norm(D, axis=1))):
-            break
-        mask = np.stack([rng.random(n) < p for rng in rngs])
-        D = np.where(mask, cand, D)
-    return np.asarray(resid_rows).T, D
+    banks = [DelayBank("asynchronous", p, s) for s in seeds]
+    d0 = np.zeros(system.dim) if d0 is None else np.asarray(d0, float)
+    resids = []
+    D, _, _ = _iterate(system.candidate, np.tile(d0, (len(banks), 1)), tol, max_iters, resids,
+                       lambda: np.stack([bank.triggers(system) for bank in banks]))
+    return np.asarray(resids).T, D
 
 
 def run_error_system(
@@ -399,20 +392,24 @@ def run_error_system(
     """Iterate the error system obtained by shifting all inputs by the
     fixed-point operating values; returns the error trajectory e[n].
 
+    The error map is e -> (1 - gamma) e + gamma G (m(d_star + e) - m(d_star)).
     With matched triggers, d_star + e[n] reproduces the original system's
     trajectory started from d_star + e0 (superposition of the fixed-point
-    and error systems).
+    and error systems).  Raises `DivergedError` when the error becomes
+    non-finite.
     """
     if bank is None:
         bank = DelayBank()
     bank.reset()
-    c_star = system.apply_elements(np.asarray(d_star, dtype=float))
-    e = np.array(e0, dtype=float)
-    out = [e.copy()]
-    for _ in range(iters):
+    draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
+    d_star = np.asarray(d_star, dtype=float)
+    c_star = system.apply_elements(d_star)
+
+    def step(e):
         c_err = system.apply_elements(d_star + e) - c_star
-        cand = (1.0 - system.gamma) * e + system.gamma * (c_err @ system.interconnection.G.T)
-        mask = bank.triggers(system)
-        e = np.where(mask, cand, e)
-        out.append(e.copy())
+        return (1.0 - system.gamma) * e + system.gamma * (c_err @ system.interconnection.G.T)
+
+    out = []
+    e, _, _ = _iterate(step, np.array(e0, dtype=float), None, iters, [], draw, out.append)
+    out.append(e)
     return np.asarray(out)

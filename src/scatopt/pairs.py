@@ -9,6 +9,7 @@ transform is the orthonormal, self-inverse mixing matrix
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,6 +104,9 @@ class Block:
     length: int
 
     def __post_init__(self):
+        # plain ints, so that reports holding them serialize as JSON
+        object.__setattr__(self, "offset", operator.index(self.offset))
+        object.__setattr__(self, "length", operator.index(self.length))
         if self.offset < 0:
             raise ValueError(f"block offset must be nonnegative, got {self.offset}")
         if self.length <= 0:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from scatopt import oracles
 from scatopt.cli import ConfigError, RunConfig, main
 
 
@@ -140,6 +141,16 @@ class TestVerifyCommand:
         assert capped and all(e["informational"] for e in capped)
         assert report["norm_reduction"]["informational"] is True
 
+    def test_svm_report_serializes(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"problem": "svm_consensus", "instance": {"n_agents": 8}}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = read_json(out / "verify.json")
+        assert report["passed"] is True
+        assert all(type(v) is int for e in report["elements"] for v in e["block"])
+
 
 class TestCompareCommand:
     def test_lasso_augmented_support_match(self, tmp_path):
@@ -173,3 +184,15 @@ class TestCompareCommand:
         ])
         assert code == 1
         assert "no independent oracle" in capsys.readouterr().err
+
+    def test_oracle_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def stalled(instance):
+            raise oracles.OracleFailure("stalled at gradient norm 1.2e-06")
+
+        monkeypatch.setattr(oracles, "oracle_lasso_huber", stalled)
+        code = main([
+            "compare", "--problem", "lasso_huber", "--tol", "1e-6", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        assert "error: reference oracle failed: stalled" in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()

@@ -235,6 +235,26 @@ CONVEX_RELATIONS = [
 ]
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Quadratic(NAN),
+    lambda: HuberL1(NAN, 1.0),
+    lambda: HuberL1(1.0, NAN),
+    lambda: SoftThreshold(NAN),
+    lambda: Hinge(NAN),
+    lambda: PairCoupling(NAN),
+    lambda: OneSidedPenalty(NAN, bound=0.0),
+    lambda: CappedL1(NAN, 1.0),
+    lambda: CappedL1(1.0, np.array([1.0, NAN])),
+], ids=["quadratic", "huber-weight", "huber-halfwidth", "soft-threshold", "hinge",
+        "pair-coupling", "one-sided", "capped-height", "capped-notch"])
+def test_nan_parameters_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestNonexpansiveness:
     @pytest.mark.parametrize("rel", CONVEX_RELATIONS, ids=lambda r: type(r).__name__)
     def test_scalar_reflected_maps(self, rel):

@@ -6,14 +6,11 @@ from scatopt.engine import (
     DelayBank,
     DivergedError,
     System,
-    SystemState,
     fixed_point_residual,
     readout,
     run,
     run_ensemble,
     run_error_system,
-    step_async,
-    step_sync,
 )
 from scatopt.interconnect import AffineInterconnection, from_constraints
 from scatopt.pairs import Block
@@ -59,71 +56,78 @@ class TestSystemValidation:
 
 
 class TestStepSync:
+    """One synchronous update, taken as `run(..., max_iters=1)`."""
+
     def test_fixed_point_invariance(self):
         for gamma in (0.25, 0.5, 1.0):
             system = single_quadratic_system(gamma=gamma, weight=1.0, target=0.0)
             # d = 0 is the fixed point: m(0) = 0, G 0 + 0 = 0
-            state = step_sync(system, SystemState(d=np.zeros(1)))
-            assert state.d[0] == pytest.approx(0.0)
+            result = run(system, d0=np.zeros(1), max_iters=1)
+            assert result.trace.self_residual[0] == 0.0
+            assert result.state.d[0] == 0.0
 
     def test_unit_quadratic_full_step(self):
         system = single_quadratic_system(gamma=1.0)
-        state = step_sync(system, SystemState(d=np.array([5.0])))
-        assert state.d[0] == pytest.approx(0.0)
-        assert state.iter == 1
+        result = run(system, d0=np.array([5.0]), max_iters=1)
+        assert result.state.d[0] == pytest.approx(0.0)
+        assert result.state.iter == 1
 
     def test_unit_quadratic_half_step(self):
         system = single_quadratic_system(gamma=0.5)
-        state = step_sync(system, SystemState(d=np.array([5.0])))
-        assert state.d[0] == pytest.approx(2.5)
+        result = run(system, d0=np.array([5.0]), max_iters=1)
+        assert result.state.d[0] == pytest.approx(2.5)
+
+
+def unit_quadratic_bank_system(n, gamma=1.0):
+    """n decoupled unit quadratics: with gamma = 1 every update lands on 0."""
+    ic = AffineInterconnection(np.eye(n), np.zeros(n))
+    return System(ic, [Element(Quadratic(1.0), Block(0, n))], gamma=gamma)
 
 
 class TestStepAsync:
+    """One asynchronous update, taken as `run(..., max_iters=1)`."""
+
     def test_p_one_reproduces_sync(self):
         system, *_ = least_squares_system()
-        bank = DelayBank(mode="asynchronous", p=1.0, seed=0)
-        bank.reset()
         d0 = np.full(system.dim, 0.7)
-        s_async = step_async(system, SystemState(d=d0.copy()), bank)
-        s_sync = step_sync(system, SystemState(d=d0.copy()))
-        np.testing.assert_array_equal(s_async.d, s_sync.d)
-        assert s_async.normalized_iter == pytest.approx(1.0)
+        s_async = run(system, DelayBank("asynchronous", p=1.0, seed=0), d0=d0, max_iters=1)
+        s_sync = run(system, DelayBank(), d0=d0, max_iters=1)
+        np.testing.assert_array_equal(s_async.state.d, s_sync.state.d)
+        assert s_async.state.normalized_iter == pytest.approx(1.0)
 
     def test_trigger_count_statistics(self):
         # per step, each of n coordinates updates with probability p
         n, p = 1000, 0.1
-        ic = AffineInterconnection(np.eye(n), np.zeros(n))
-        system = System(ic, [Element(Quadratic(1.0), Block(0, n))])
+        system = unit_quadratic_bank_system(n)
         counts = []
         for seed in range(100):
             bank = DelayBank(mode="asynchronous", p=p, seed=seed)
-            bank.reset()
-            counts.append(int(bank.triggers(system).sum()))
+            result = run(system, bank, d0=np.ones(n), max_iters=1)
+            counts.append(int(np.sum(result.state.d == 0.0)))
         mean = np.mean(counts)
         sigma = np.sqrt(n * p * (1 - p) / len(counts))
         assert abs(mean - n * p) < 3 * sigma
 
     def test_fixed_point_held_under_any_triggers(self):
-        system = single_quadratic_system(gamma=0.5)
+        # coordinate 0 starts at its fixed point, coordinate 1 does not
+        system = unit_quadratic_bank_system(2, gamma=0.5)
         for seed in range(5):
             bank = DelayBank(mode="asynchronous", p=0.3, seed=seed)
-            bank.reset()
-            state = step_async(system, SystemState(d=np.zeros(1)), bank)
-            assert state.d[0] == pytest.approx(0.0)
-
-    def test_requires_async_bank(self):
-        system = single_quadratic_system()
-        with pytest.raises(ValueError, match="asynchronous"):
-            step_async(system, SystemState(d=np.zeros(1)), DelayBank())
+            result = run(system, bank, d0=np.array([0.0, 5.0]), max_iters=1)
+            assert result.state.d[0] == 0.0
 
     def test_per_block_triggers_are_blockwise(self):
         system, *_ = least_squares_system()
-        bank = DelayBank(mode="asynchronous", p=0.5, seed=0, per_block=True)
-        bank.reset()
-        mask = bank.triggers(system)
-        for el in system.elements:
-            seg = mask[el.block.slice]
-            assert seg.all() or not seg.any()
+        d0 = np.random.default_rng(0).normal(size=system.dim)
+        outcomes = set()
+        for seed in range(10):
+            bank = DelayBank(mode="asynchronous", p=0.5, seed=seed, per_block=True)
+            moved = run(system, bank, d0=d0, max_iters=1).state.d != d0
+            for el in system.elements:
+                seg = moved[el.block.slice]
+                assert seg.all() or not seg.any()
+                outcomes.add(bool(seg.all()))
+        assert outcomes == {True, False}
 
 
 class TestDelayBank:
@@ -210,6 +214,13 @@ class TestRun:
         with pytest.raises(DivergedError):
             run(system, d0=np.array([1e300]), max_iters=50)
 
+    def test_huge_finite_start_converges(self):
+        # ||d0||^2 overflows, but the state is finite and contracting
+        system = single_quadratic_system(gamma=0.5)
+        result = run(system, d0=np.array([1e200]))
+        assert result.converged
+        assert result.state.d[0] < 1e-7
+
     def test_tol_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
             run(single_quadratic_system(), tol=0.0)
@@ -246,6 +257,18 @@ class TestRunEnsemble:
                 tol=1e-300, max_iters=res.shape[1],
             )
             np.testing.assert_allclose(res[i], single.trace.self_residual, atol=1e-12)
+
+    def test_overflowing_replica_raises(self):
+        ic = AffineInterconnection(np.array([[2.0]]), np.zeros(1), neutral=False)
+        system = System(ic, [Element(Quadratic(0.0), Block(0, 1))])
+        with pytest.raises(DivergedError):
+            run_ensemble(system, [0], p=1.0, d0=np.array([1e300]), max_iters=50)
+
+    def test_huge_finite_start_converges(self):
+        system = single_quadratic_system(gamma=0.5)
+        res, final = run_ensemble(system, [0], p=0.5, d0=np.array([1e200]))
+        assert np.isfinite(res).all()
+        assert res[0, -1] <= 1e-6 * (1.0 + abs(final[0, 0]))
 
     def test_all_rows_converge(self):
         system, *_ = least_squares_system()
