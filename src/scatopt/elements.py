@@ -9,7 +9,7 @@ property the convergence certificates in `monitor` rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

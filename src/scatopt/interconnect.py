@@ -1,15 +1,21 @@
 """Orthonormal linear interconnections with affine offsets.
 
 The interconnection maps the elements' c-outputs to their d-inputs,
-d = G c + s, where G is norm-preserving.  G is built as the Cayley
-transform of a skew-symmetric core assembled from the problem's linear
-constraints; constant data enters through source relations that are
-algebraically absorbed into the offset s.
+d = G c + s, where G is norm-preserving.  For a problem's linear
+constraints z[resid] = A z[free] - v, the map c -> G c + s is the
+reflection across that affine set, computed in closed form by
+`from_constraints` with one m x m solve.
+
+`cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
+construction of the same map: the Cayley transform of a skew-symmetric
+core, with constant data entering as source relations eliminated into
+the offset.  They are kept as the reference the tests hold
+`from_constraints` to, and nothing at run time calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +69,10 @@ def check_orthonormal(G: np.ndarray, tol: float = 1e-10) -> OrthonormalityReport
 
 @dataclass(frozen=True)
 class AffineInterconnection:
-    """The map c -> G c + s.  `neutral` records whether G is orthonormal."""
+    """The map c -> G c + s; `check_orthonormal` says whether G is neutral."""
 
     G: np.ndarray
     s: np.ndarray
-    neutral: bool = True
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -76,6 +81,8 @@ class AffineInterconnection:
             raise ValueError(f"G must be square, got shape {G.shape}")
         if s.shape != (G.shape[0],):
             raise ValueError(f"offset shape {s.shape} does not match G {G.shape}")
+        if not np.all(np.isfinite(G)):
+            raise ValueError("G contains non-finite entries")
         if not np.all(np.isfinite(s)):
             raise ValueError("offset contains non-finite entries")
         object.__setattr__(self, "G", G)
@@ -111,9 +118,6 @@ class SourceRelation:
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "g", g)
 
-    def is_lossless(self, tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.F.T @ self.F - np.eye(self.block.length)).max() <= tol)
-
 
 def absorb_sources(
     ic: AffineInterconnection, sources: list[SourceRelation]
@@ -121,9 +125,8 @@ def absorb_sources(
     """Eliminate source blocks algebraically, returning the reduced map.
 
     The reduced interconnection acts on the non-source coordinates (original
-    order preserved) and has the same fixed points there.  The result stays
-    neutral when every eliminated relation is itself lossless (orthonormal
-    homogeneous part); otherwise it is flagged non-neutral.
+    order preserved) and has the same fixed points there.  It is orthonormal
+    when G is and every eliminated relation is lossless (F orthonormal).
     """
     if not sources:
         return ic
@@ -156,13 +159,7 @@ def absorb_sources(
     coupler = np.linalg.solve(loop, np.column_stack([F @ G_kt, (F @ ic.s[src_idx] + g)]))
     G_red = G_tt + G_tk @ coupler[:, :-1]
     s_red = ic.s[keep] + G_tk @ coupler[:, -1]
-
-    neutral = (
-        ic.neutral
-        and all(s.is_lossless() for s in sources)
-        and check_orthonormal(G_red).passed
-    )
-    return AffineInterconnection(G=G_red, s=s_red, neutral=neutral)
+    return AffineInterconnection(G=G_red, s=s_red)
 
 
 def from_constraints(
@@ -173,11 +170,13 @@ def from_constraints(
 ) -> AffineInterconnection:
     """Build the interconnection enforcing z[resid] = A z[free] - offset.
 
-    The homogeneous part is the Cayley transform of the skew core holding A,
-    with the residual columns sign-flipped; this is exactly the reflection
-    across the constraint subspace, so G is orthonormal by construction.  A
-    nonzero `offset` is introduced as a bank of constant sources pinned to
-    the data and absorbed into s.
+    G c + s is the reflection of c across the affine set {z : C z = v},
+    where C = [A | -I] in (free, resid) column order and v the offset:
+        G = I - 2 C^T K^-1 C,   s = 2 C^T K^-1 v,   K = C C^T = I + A A^T.
+    G is symmetric, orthonormal and an involution, and every point of the
+    constraint set is fixed.  This equals the paper's construction, the
+    Cayley transform of the skew core holding A with the residual columns
+    sign-flipped and the offset absorbed as a bank of constant sources.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     free_idx = np.asarray(free_idx, dtype=int)
@@ -189,23 +188,16 @@ def from_constraints(
     all_idx = np.sort(np.concatenate([free_idx, resid_idx]))
     if not np.array_equal(all_idx, np.arange(n)):
         raise ValueError("free and residual indices must partition 0..n-1")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("constraint matrix A contains non-finite entries")
+    v = np.zeros(m) if offset is None else np.asarray(offset, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("constraint offset contains non-finite entries")
 
-    if offset is None or not np.any(offset):
-        S = np.zeros((n, n))
-        S[np.ix_(resid_idx, free_idx)] = A
-        S[np.ix_(free_idx, resid_idx)] = -A.T
-        G = cayley(S)
-        G[:, resid_idx] *= -1.0
-        return AffineInterconnection(G=G, s=np.zeros(n), neutral=True)
-
-    offset = np.asarray(offset, dtype=float)
-    # extend with one source coordinate per constraint: z[resid] = A z[free] - v
-    src_idx = np.arange(n, n + m)
-    A_ext = np.column_stack([A, -np.eye(m)])
-    ext = from_constraints(
-        A_ext, np.concatenate([free_idx, src_idx]), resid_idx, offset=None
-    )
-    source = SourceRelation(
-        block=Block(n, m), F=-np.eye(m), g=2.0 * offset
-    )  # pins the source coordinates to the data vector
-    return absorb_sources(ext, [source])
+    C = np.zeros((m, n))
+    C[:, free_idx] = A
+    C[:, resid_idx] = -np.eye(m)
+    X = np.linalg.solve(np.eye(m) + A @ A.T, np.column_stack([C, v]))
+    G = -2.0 * C.T @ X[:, :n]
+    G[np.diag_indices(n)] += 1.0
+    return AffineInterconnection(G=G, s=2.0 * C.T @ X[:, n])

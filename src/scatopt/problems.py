@@ -2,16 +2,16 @@
 orthonormal interconnection, plus their instance data types.
 
 Each builder encodes a problem's linear structure as constraints
-z[resid] = A z[free] - data, obtains the interconnection from the Cayley
-construction with data absorbed as constant sources, and attaches one
-constitutive relation per coordinate block.  Variables that appear in
+z[resid] = A z[free] - data, takes as interconnection the reflection
+across that affine set (`from_constraints`), and attaches one constitutive
+relation per coordinate block.  Variables that appear in
 several cost terms (consensus copies, two-sided envelopes) are duplicated
 through the interconnection so element blocks stay disjoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

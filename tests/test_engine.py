@@ -209,7 +209,7 @@ class TestRun:
 
     def test_divergence_detected(self):
         # a deliberately non-orthonormal expanding loop blows up
-        ic = AffineInterconnection(np.array([[-3.0]]), np.zeros(1), neutral=False)
+        ic = AffineInterconnection(np.array([[-3.0]]), np.zeros(1))
         system = System(ic, [Element(SoftThreshold(0.1), Block(0, 1))], gamma=1.0)
         with pytest.raises(DivergedError):
             run(system, d0=np.array([1e300]), max_iters=50)
@@ -259,7 +259,7 @@ class TestRunEnsemble:
             np.testing.assert_allclose(res[i], single.trace.self_residual, atol=1e-12)
 
     def test_overflowing_replica_raises(self):
-        ic = AffineInterconnection(np.array([[2.0]]), np.zeros(1), neutral=False)
+        ic = AffineInterconnection(np.array([[2.0]]), np.zeros(1))
         system = System(ic, [Element(Quadratic(0.0), Block(0, 1))])
         with pytest.raises(DivergedError):
             run_ensemble(system, [0], p=1.0, d0=np.array([1e300]), max_iters=50)

@@ -109,7 +109,6 @@ class TestAbsorbSources:
         assert red.dim == 1
         assert red.G[0, 0] == pytest.approx(G[0, 0])
         assert red.s[0] == pytest.approx(G[0, 1] * g)
-        assert not red.neutral  # F = 0 is not lossless
 
     def test_affine_source_fixed_points_match_dense_solve(self):
         # All relations affine: kept blocks use c = d (identity relation),
@@ -140,7 +139,6 @@ class TestAbsorbSources:
         ic = AffineInterconnection(G, np.zeros(4))
         src = SourceRelation(Block(2, 2), F=-np.eye(2), g=np.array([1.0, -2.0]))
         red = absorb_sources(ic, [src])
-        assert red.neutral
         assert check_orthonormal(red.G).passed
 
     def test_singular_loop_names_block(self):
@@ -161,10 +159,46 @@ class TestAbsorbSources:
             absorb_sources(ic, srcs)
 
 
+def paper_construction(A, free, resid, offset=None):
+    """The paper's interconnection for z[resid] = A z[free] - offset: the
+    Cayley transform of the skew core holding A, residual columns negated;
+    a nonzero offset enters as m source coordinates pinned to the data
+    (c = -d + 2 offset) and absorbed."""
+    m, nf = A.shape
+    n = nf + m
+    if offset is None:
+        S = np.zeros((n, n))
+        S[np.ix_(resid, free)] = A
+        S[np.ix_(free, resid)] = -A.T
+        G = cayley(S)
+        G[:, resid] *= -1.0
+        return AffineInterconnection(G, np.zeros(n))
+    ext = paper_construction(
+        np.column_stack([A, -np.eye(m)]), np.concatenate([free, np.arange(n, n + m)]), resid
+    )
+    return absorb_sources(ext, [SourceRelation(Block(n, m), F=-np.eye(m), g=2.0 * offset)])
+
+
 class TestFromConstraints:
     """The construction must equal the reflection across the affine
     constraint set {z : A z_free - z_resid = offset}, computed here
-    independently from the projector onto the constraint normals."""
+    independently from the projector onto the constraint normals, and the
+    paper's Cayley-plus-source-absorption construction."""
+
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
+    @pytest.mark.parametrize(
+        "free, resid",
+        [(np.arange(5), np.arange(5, 8)), (np.array([0, 2, 4, 5, 7]), np.array([1, 3, 6]))],
+        ids=["blocked", "interleaved"],
+    )
+    def test_matches_paper_construction(self, free, resid, with_offset):
+        rng = np.random.default_rng(25)
+        A = rng.normal(size=(3, 5))
+        offset = rng.normal(size=3) if with_offset else None
+        ic = from_constraints(A, free, resid, offset=offset)
+        ref = paper_construction(A, free, resid, offset)
+        np.testing.assert_allclose(ic.G, ref.G, atol=1e-12)
+        np.testing.assert_allclose(ic.s, ref.s, atol=1e-12)
 
     @staticmethod
     def reflection_oracle(A, free, resid, offset):
@@ -186,7 +220,6 @@ class TestFromConstraints:
         G_exp, _ = self.reflection_oracle(A, free, resid, None)
         np.testing.assert_allclose(ic.G, G_exp, atol=1e-12)
         np.testing.assert_array_equal(ic.s, np.zeros(8))
-        assert ic.neutral
 
     def test_matches_reflection_with_offset(self):
         rng = np.random.default_rng(22)
@@ -197,7 +230,6 @@ class TestFromConstraints:
         G_exp, s_exp = self.reflection_oracle(A, free, resid, offset)
         np.testing.assert_allclose(ic.G, G_exp, atol=1e-12)
         np.testing.assert_allclose(ic.s, s_exp, atol=1e-12)
-        assert ic.neutral
 
     def test_interleaved_indices(self):
         rng = np.random.default_rng(23)

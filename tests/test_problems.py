@@ -3,7 +3,7 @@ import pytest
 
 from scatopt import oracles, problems
 from scatopt.engine import DelayBank, run
-from scatopt.interconnect import check_orthonormal
+from scatopt.interconnect import AffineInterconnection, check_orthonormal
 from scatopt.problems import (
     EqualizerInstance,
     FirSpec,
@@ -20,13 +20,94 @@ def solve(built, tol=1e-10, max_iters=500000):
     return result
 
 
+def constraint_point(built, rng):
+    """A random point on the builder's constraint set, written from the
+    instance data, and the displacement ic.apply gives it: zero, or minus
+    twice the projection onto the constraint subspace of the unit linear
+    cost that the minimax builders fold into the offset."""
+    inst, lay, ex = built.instance, built.layout, built.extras
+    z = np.zeros(built.system.dim)
+    shift = np.zeros(built.system.dim)
+    if built.name in ("lasso_huber", "lasso_augmented"):
+        x = rng.normal(size=inst.A.shape[1])
+        z[lay["coefficients"]] = x
+        z[lay["residual"]] = inst.A @ x - inst.y
+    elif built.name == "minimax_fir":
+        h = rng.normal(size=inst.half_taps)
+        z[lay["coefficients"]] = h
+        z[lay["errors"]] = ex["weights"] * (ex["cosines"] @ h - ex["desired"])
+        z[lay["bound"]] = rng.normal()
+        shift[lay["bound"]] = -2.0
+    elif built.name == "minimax_fir_split":
+        n_pass = ex["n_pass"]
+        C = np.cos(np.outer(ex["omega"], np.arange(inst.half_taps)))
+        werr = lambda h, band: ex["weights"][band] * (C[band] @ h - ex["desired"][band])
+        hp, hs = rng.normal(size=(2, inst.half_taps))
+        bp, bs = rng.normal(size=2)
+        z[lay["coefficients_pass"]], z[lay["coefficients_stop"]] = hp, hs
+        z[lay["errors_pass"]] = werr(hp, slice(0, n_pass))
+        z[lay["errors_stop"]] = werr(hs, slice(n_pass, None))
+        z[lay["bound_pass"]], z[lay["bound_stop"]] = bp, bs
+        # coupling pairs (pass copy, stop copy) of each coefficient, then the bounds
+        z[lay["bound_stop"] + 1 :] = np.column_stack([np.r_[hp, bp], np.r_[hs, bs]]).ravel()
+        # each bound and its coupling copy share the projected unit cost
+        shift[[lay["bound_pass"], lay["bound_stop"], -2, -1]] = -1.0
+    elif built.name == "svm_consensus":
+        w = rng.normal(size=lay["weights"].shape)
+        b = rng.normal(size=inst.n_agents)
+        z[lay["weights"]], z[lay["biases"]] = w, b
+        z[lay["margins"]] = inst.labels * (np.sum(w * inst.features, axis=1) + b)
+        wb = np.column_stack([w, b])
+        # per edge, the pairs (agent i copy, agent j copy) of each of w and b
+        z[lay["margins"].max() + 1 :] = np.concatenate(
+            [np.column_stack([wb[i], wb[j]]).ravel() for i, j in ex["edges"]]
+        )
+    elif built.name == "sparse_equalizer":
+        taps = rng.normal(size=inst.num_taps)
+        z[lay["taps"]] = taps
+        z[lay["output"]] = z[lay["output_mirror"]] = np.convolve(inst.channel, taps)
+    else:
+        raise AssertionError(f"no constraint point for {built.name}")
+    return z, shift
+
+
 class TestBuilderInvariants:
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_reflection_involution_fixes_constraint_set(self, name):
+        built = problems.build(name, problems.default_instance(name, seed=0))
+        ic = built.system.interconnection
+        np.testing.assert_allclose(ic.G, ic.G.T, atol=1e-10)
+        np.testing.assert_allclose(ic.G @ ic.G, np.eye(ic.dim), atol=1e-10)
+        z, shift = constraint_point(built, np.random.default_rng(3))
+        np.testing.assert_allclose(ic.apply(z), z + shift, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: problems.build_lasso_huber(
+                LassoInstance(A=[[1.0, np.nan], [0.0, 1.0]], y=[1.0, 2.0])),
+             "constraint matrix A contains non-finite"),
+            (lambda: problems.build_lasso_huber(
+                LassoInstance(A=np.eye(2), y=[1.0, np.inf])),
+             "constraint offset contains non-finite"),
+            (lambda: problems.build_svm_decentralized(SvmInstance(
+                features=[[1.0, 0.0], [np.nan, 1.0], [0.0, -1.0]], labels=[1.0, -1.0, 1.0],
+                adjacency=np.ones((3, 3)) - np.eye(3))),
+             "constraint matrix A contains non-finite"),
+            (lambda: AffineInterconnection(np.array([[0.0, np.nan], [1.0, 0.0]]), np.zeros(2)),
+             "G contains non-finite"),
+        ],
+        ids=["lasso_A", "lasso_y", "svm_features", "hand_built_G"],
+    )
+    def test_non_finite_data_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_orthonormal_and_partitioned(self, name):
         inst = problems.default_instance(name, seed=0)
         built = problems.build(name, inst)
         assert check_orthonormal(built.system.interconnection.G, tol=1e-10).passed
-        assert built.system.interconnection.neutral
         # block partition is enforced at System construction; reaching here
         # means it held
 
