@@ -124,12 +124,10 @@ class System:
         transform: PairTransform | None = None,
         gamma: float = 0.5,
     ):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+        self.gamma = gamma
         self.interconnection = interconnection
         self.elements = tuple(elements)
         self.transform = transform if transform is not None else canonical_transform()
-        self.gamma = gamma
         self._validate_blocks()
         self._bank = _Bank(self.elements)
 
@@ -151,6 +149,16 @@ class System:
         if not covered.all():
             missing = int(np.nonzero(~covered)[0][0])
             raise ValueError(f"coordinate {missing} is not owned by any element")
+
+    @property
+    def gamma(self) -> float:
+        return self._gamma
+
+    @gamma.setter
+    def gamma(self, gamma: float):
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+        self._gamma = gamma
 
     @property
     def dim(self) -> int:
@@ -407,7 +415,7 @@ def run_error_system(
 
     def step(e):
         c_err = system.apply_elements(d_star + e) - c_star
-        return (1.0 - system.gamma) * e + system.gamma * (c_err @ system.interconnection.G.T)
+        return (1.0 - system.gamma) * e + system.gamma * system.interconnection.linear(c_err)
 
     out = []
     e, _, _ = _iterate(step, np.array(e0, dtype=float), None, iters, [], draw, out.append)

@@ -83,12 +83,12 @@ def certify_eq1(
     d_star = np.asarray(d_star, dtype=float)
     rng = np.random.default_rng(seed)
     c_star = system.apply_elements(d_star)
-    G = system.interconnection.G
+    ic = system.interconnection
     worst = 0.0
     for _ in range(n):
         e = _sample_ball(rng, system.dim, radius)
         c_dev = system.apply_elements(d_star + e) - c_star
-        lhs = np.linalg.norm(G @ c_dev)
+        lhs = np.linalg.norm(ic.linear(c_dev))
         rhs = np.linalg.norm(c_dev)
         worst = max(worst, float(abs(lhs - rhs) / (1.0 + rhs)))
     return Eq1Report(samples=n, max_deviation=worst, passed=worst <= tol)

@@ -54,6 +54,15 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="gamma"):
             System(ic, el, gamma=1.5)
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, float("nan")])
+    def test_gamma_checked_on_assignment(self, gamma):
+        system = single_quadratic_system(gamma=0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            system.gamma = gamma
+        assert system.gamma == 0.5
+        system.gamma = 1.0
+        assert system.gamma == 1.0
+
 
 class TestStepSync:
     """One synchronous update, taken as `run(..., max_iters=1)`."""

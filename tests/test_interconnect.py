@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,6 +91,41 @@ class TestAffineInterconnection:
             AffineInterconnection(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError, match="length"):
             AffineInterconnection(np.eye(2), np.zeros(2)).apply(np.zeros(3))
+
+
+def block_diagonal_rotation(n_blocks, size, seed):
+    """An orthonormal G with n_blocks dense blocks, density 1 / n_blocks."""
+    G = np.zeros((n_blocks * size, n_blocks * size))
+    for k in range(n_blocks):
+        sl = slice(k * size, (k + 1) * size)
+        G[sl, sl] = cayley(random_skew(size, seed=seed + k))
+    return G
+
+
+class TestSparseApply:
+    """G is applied through a CSR copy when at most 1/8 of it is nonzero;
+    either way `linear` and `apply` are the dense products."""
+
+    @pytest.mark.parametrize(
+        "n_blocks, sparse", [(10, True), (8, True), (7, False), (1, False)],
+        ids=["density_0.1", "density_0.125", "density_0.143", "dense"],
+    )
+    def test_matches_dense_product(self, n_blocks, sparse):
+        G = block_diagonal_rotation(n_blocks, 3, seed=40)
+        rng = np.random.default_rng(41)
+        s = rng.normal(size=G.shape[0])
+        ic = AffineInterconnection(G, s)
+        assert (ic._sparse is not None) is sparse
+        for c in (rng.normal(size=G.shape[0]), rng.normal(size=(5, G.shape[0]))):
+            np.testing.assert_allclose(ic.linear(c), c @ G.T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(ic.apply(c), c @ G.T + s, rtol=0, atol=1e-14)
+            assert ic.apply(c).shape == c.shape
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        code = "import sys, scatopt; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestAbsorbSources:
@@ -188,13 +226,19 @@ class TestFromConstraints:
     @pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
     @pytest.mark.parametrize(
         "free, resid",
-        [(np.arange(5), np.arange(5, 8)), (np.array([0, 2, 4, 5, 7]), np.array([1, 3, 6]))],
-        ids=["blocked", "interleaved"],
+        [
+            (np.arange(5), np.arange(5, 8)),
+            (np.array([0, 2, 4, 5, 7]), np.array([1, 3, 6])),
+            (np.arange(3), np.arange(3, 8)),
+            (np.array([1, 3, 6]), np.array([0, 2, 4, 5, 7])),
+        ],
+        # "more_constraints" shapes have m > nf and take the I + A^T A form
+        ids=["blocked", "interleaved", "more_constraints_blocked", "more_constraints_interleaved"],
     )
     def test_matches_paper_construction(self, free, resid, with_offset):
         rng = np.random.default_rng(25)
-        A = rng.normal(size=(3, 5))
-        offset = rng.normal(size=3) if with_offset else None
+        A = rng.normal(size=(len(resid), len(free)))
+        offset = rng.normal(size=len(resid)) if with_offset else None
         ic = from_constraints(A, free, resid, offset=offset)
         ref = paper_construction(A, free, resid, offset)
         np.testing.assert_allclose(ic.G, ref.G, atol=1e-12)
@@ -231,6 +275,18 @@ class TestFromConstraints:
         np.testing.assert_allclose(ic.G, G_exp, atol=1e-12)
         np.testing.assert_allclose(ic.s, s_exp, atol=1e-12)
 
+    @pytest.mark.parametrize("with_offset", [False, True], ids=["no_offset", "offset"])
+    @pytest.mark.parametrize("m, nf", [(5, 3), (9, 2), (4, 4)])
+    def test_matches_reflection_either_gram_form(self, m, nf, with_offset):
+        rng = np.random.default_rng(26)
+        A = rng.normal(size=(m, nf))
+        offset = rng.normal(size=m) if with_offset else None
+        free, resid = np.arange(nf), np.arange(nf, nf + m)
+        ic = from_constraints(A, free, resid, offset=offset)
+        G_exp, s_exp = self.reflection_oracle(A, free, resid, offset)
+        np.testing.assert_allclose(ic.G, G_exp, atol=1e-12)
+        np.testing.assert_allclose(ic.s, s_exp, atol=1e-12)
+
     def test_interleaved_indices(self):
         rng = np.random.default_rng(23)
         A = rng.normal(size=(2, 3))
@@ -258,3 +314,5 @@ class TestFromConstraints:
             from_constraints(A, np.array([0, 1]), np.array([1, 2]))
         with pytest.raises(ValueError, match="index arrays"):
             from_constraints(A, np.array([0]), np.array([1, 2]))
+        with pytest.raises(ValueError, match="offset shape"):
+            from_constraints(A, np.array([0, 1]), np.array([2, 3]), offset=np.zeros(3))

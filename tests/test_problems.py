@@ -103,6 +103,16 @@ class TestBuilderInvariants:
         with pytest.raises(ValueError, match=match):
             make()
 
+    @pytest.mark.parametrize(
+        "name, sparse", [("svm_consensus", True), ("lasso_huber", False)])
+    def test_apply_form_follows_density(self, name, sparse):
+        # the svm's G is block-diagonal (3.3 % nonzero); the lasso's is full
+        built = problems.build(name, problems.default_instance(name, seed=0))
+        ic = built.system.interconnection
+        assert (ic._sparse is not None) is sparse
+        c = np.random.default_rng(5).normal(size=(3, ic.dim))
+        np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_orthonormal_and_partitioned(self, name):
         inst = problems.default_instance(name, seed=0)
