@@ -14,8 +14,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import monitor, oracles, problems
 from .elements import dissipativity_probe
 from .engine import DelayBank, run
@@ -56,9 +54,6 @@ class RunConfig:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
     def delay_bank(self) -> DelayBank:
         mode = "asynchronous" if self.mode == "async" else "synchronous"
@@ -141,7 +136,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_trace(out / "trace.csv", result.trace)
     summary = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "converged": result.converged,
         "iterations": int(result.state.iter),
         "normalized_iterations": float(result.state.normalized_iter),
@@ -186,7 +181,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         ortho.passed and eq1.passed and required_ok and (eq2.passed or not eq2_required)
     )
     report = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "orthonormality": {"max_deviation": ortho.max_deviation, "passed": ortho.passed},
         "elements": element_reports,
         "interconnection_neutrality": {
@@ -207,72 +202,19 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if passed else 2
 
 
-def _solution_metrics(cfg: RunConfig, built, result) -> dict:
-    z = built.primal(result.state.d)
-    name = cfg.problem
-    if name == "lasso_huber":
-        ref = oracles.oracle_lasso_huber(built.instance)
-        x = z[built.layout["coefficients"]]
-        return {
-            "max_coefficient_error": float(np.abs(x - ref.x).max()),
-            "objective_gap": built.objective(z) - ref.value,
-        }
-    if name == "lasso_augmented":
-        ref = oracles.oracle_lasso(built.instance)
-        x = z[built.layout["coefficients"]]
-        thr = 1e-6
-        return {
-            "max_coefficient_error": float(np.abs(x - ref.x).max()),
-            "support_match": bool(
-                np.array_equal(np.abs(x) > thr, np.abs(ref.x) > thr)
-            ),
-        }
-    if name in ("minimax_fir", "minimax_fir_split"):
-        ref = oracles.oracle_minimax_lp(built.instance)
-        omega = built.extras["omega"]
-        weights = built.extras["weights"]
-        desired = built.extras["desired"]
-        K = built.instance.half_taps
-        if name == "minimax_fir":
-            h = z[built.layout["coefficients"]]
-        else:
-            h = (z[built.layout["coefficients_pass"]] + z[built.layout["coefficients_stop"]]) / 2.0
-        C = np.cos(np.outer(omega, np.arange(K)))
-        err = float(np.abs(weights * (C @ h - desired)).max())
-        return {
-            "max_grid_error": err,
-            "oracle_optimum": ref.value,
-            "error_ratio": err / ref.value,
-        }
-    if name == "svm_consensus":
-        ref = oracles.oracle_svm_qp(built.instance)
-        w, b = problems.consensus_classifier(built, result.state.d)
-        X = built.instance.features
-        pred = np.sign(X @ w + b)
-        pred_ref = np.sign(X @ ref.x + ref.extras["bias"])
-        return {
-            "classification_agreement": float(np.mean(pred == pred_ref)),
-            "consensus_gap": problems.consensus_gap(built, result.state.d),
-        }
-    raise ConfigError(f"no oracle is available for problem {name!r}")
-
-
 def cmd_compare(cfg: RunConfig) -> int:
-    if cfg.problem == "sparse_equalizer":
-        print(
-            "compare: no independent oracle exists for sparse_equalizer "
-            "(nonconvex); use `run` and inspect the trace instead",
-            file=sys.stderr,
-        )
+    compare = problems.PROBLEMS[cfg.problem].compare
+    if compare is None:
+        print(f"compare: no independent oracle exists for {cfg.problem}; "
+              "use `run` and inspect the trace instead", file=sys.stderr)
         return 1
     built = cfg.built_problem()
     result = run(built.system, cfg.delay_bank(), tol=cfg.tol, max_iters=cfg.max_iters)
-    metrics = _solution_metrics(cfg, built, result)
     report = {
-        "config": cfg.as_dict(),
+        "config": asdict(cfg),
         "converged": result.converged,
         "iterations": int(result.state.iter),
-        "metrics": metrics,
+        "metrics": compare(built, result.state.d),
     }
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -317,6 +317,20 @@ class DissipativityReport:
     passed: bool
 
 
+def _deviations(f, center: np.ndarray, n: int, radius: float, seed: int):
+    """The probes' sampling loop: yield (e, f(center + e) - f(center)) for n
+    points e uniform in the ball of the given radius (per point a normal
+    direction, then the length radius * U^(1/dim)); ValueError if n < 1."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
+    rng = np.random.default_rng(seed)
+    f_center = f(center)
+    for _ in range(n):
+        u = rng.normal(size=center.size)
+        e = u * (radius * rng.random() ** (1.0 / center.size) / np.linalg.norm(u))
+        yield e, f(center + e) - f_center
+
+
 def dissipativity_probe(
     element: Element,
     d_star: np.ndarray,
@@ -331,19 +345,11 @@ def dissipativity_probe(
     and reports the largest observed ratio
     ||m(d) - m(d_star)|| / ||d - d_star||; passes iff it stays <= 1 + tol.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
     d_star = np.atleast_1d(np.asarray(d_star, dtype=float))
-    k = d_star.size
-    rng = np.random.default_rng(seed)
-    m_star = element.reflect(d_star)
     max_ratio = 0.0
-    for _ in range(n):
-        u = rng.normal(size=k)
-        u *= radius * rng.random() ** (1.0 / k) / np.linalg.norm(u)
+    for u, dev in _deviations(element.reflect, d_star, n, radius, seed):
         dist = np.linalg.norm(u)
         if dist == 0.0:
             continue
-        ratio = np.linalg.norm(element.reflect(d_star + u) - m_star) / dist
-        max_ratio = max(max_ratio, float(ratio))
+        max_ratio = max(max_ratio, float(np.linalg.norm(dev) / dist))
     return DissipativityReport(samples=n, max_ratio=max_ratio, passed=max_ratio <= 1.0 + tol)

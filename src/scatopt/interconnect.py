@@ -9,10 +9,10 @@ or I + A^T A.  A sparse G (the decentralized SVM's is block-diagonal)
 is applied through a CSR copy.
 
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
-construction of the same map: the Cayley transform of a skew-symmetric
-core, with constant data entering as source relations eliminated into
-the offset.  They are kept as the reference the tests hold
-`from_constraints` to, and nothing at run time calls them.
+construction of the same map: a Cayley transform of a skew core, with
+constant data as source relations eliminated into the offset.  Nothing
+at run time calls them; they stay as the tests' reference for
+`from_constraints` and as patch sites of the span tracer (`perfbench/tracing.py`).
 """
 
 from __future__ import annotations

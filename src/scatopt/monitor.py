@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elements import _deviations
 from .engine import DelayBank, RunTrace, System, fixed_point_residual, run, run_error_system
 
 __all__ = [
@@ -50,15 +51,12 @@ def reference_fixed_point(
     return result.state.d
 
 
-def _check_fixed_point(system: System, d_star: np.ndarray, tol: float = 1e-8):
+def _check_fixed_point(system: System, d_star: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """d_star as a float array, once it is checked to be a fixed point."""
     resid = fixed_point_residual(system, d_star)
     if resid > tol:
         raise ValueError(f"d_star is not a fixed point (residual {resid:.3e} > {tol:g})")
-
-
-def _sample_ball(rng, dim: int, radius: float) -> np.ndarray:
-    u = rng.normal(size=dim)
-    return u * (radius * rng.random() ** (1.0 / dim) / np.linalg.norm(u))
+    return np.asarray(d_star, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -79,15 +77,10 @@ def certify_eq1(
     """Check that the interconnection is neutral on element-output deviations:
     ||G (m(d) - m(d*))|| equals ||m(d) - m(d*)|| for sampled d about d*.
     """
-    _check_fixed_point(system, d_star)
-    d_star = np.asarray(d_star, dtype=float)
-    rng = np.random.default_rng(seed)
-    c_star = system.apply_elements(d_star)
+    d_star = _check_fixed_point(system, d_star)
     ic = system.interconnection
     worst = 0.0
-    for _ in range(n):
-        e = _sample_ball(rng, system.dim, radius)
-        c_dev = system.apply_elements(d_star + e) - c_star
+    for _, c_dev in _deviations(system.apply_elements, d_star, n, radius, seed):
         lhs = np.linalg.norm(ic.linear(c_dev))
         rhs = np.linalg.norm(c_dev)
         worst = max(worst, float(abs(lhs - rhs) / (1.0 + rhs)))
@@ -117,16 +110,11 @@ def certify_eq2(
     bank that is merely nonexpansive (flat prox regions) passes the weak
     check while reporting fewer strict reductions than samples.
     """
-    _check_fixed_point(system, d_star)
-    d_star = np.asarray(d_star, dtype=float)
-    rng = np.random.default_rng(seed)
-    c_star = system.apply_elements(d_star)
+    d_star = _check_fixed_point(system, d_star)
     worst = 0.0
     strict = 0
-    for _ in range(n):
-        e = _sample_ball(rng, system.dim, radius)
-        norm_e = np.linalg.norm(e)
-        ratio = np.linalg.norm(system.apply_elements(d_star + e) - c_star) / norm_e
+    for e, c_dev in _deviations(system.apply_elements, d_star, n, radius, seed):
+        ratio = np.linalg.norm(c_dev) / np.linalg.norm(e)
         worst = max(worst, float(ratio))
         if ratio < 1.0 - slack:
             strict += 1

@@ -50,9 +50,12 @@ class PairTransform:
     m22: float
 
     def __post_init__(self):
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        if not np.isfinite(det) or abs(det) < 1e-15:
-            raise ValueError(f"pair transform is singular (det={det})")
+        if not np.isfinite(self.det) or abs(self.det) < 1e-15:
+            raise ValueError(f"pair transform is singular (det={self.det})")
+
+    @property
+    def det(self) -> float:
+        return self.m11 * self.m22 - self.m12 * self.m21
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.m11, self.m12], [self.m21, self.m22]])
@@ -62,15 +65,10 @@ class PairTransform:
         return bool(np.abs(M.T @ M - np.eye(2)).max() <= tol)
 
     def apply(self, pair: DecisionPair) -> TransformedPair:
-        c = self.m11 * pair.a + self.m12 * pair.b
-        d = self.m21 * pair.a + self.m22 * pair.b
-        return TransformedPair(c, d)
+        return TransformedPair(*self.apply_many(pair.a, pair.b))
 
     def invert(self, tp: TransformedPair) -> DecisionPair:
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        a = (self.m22 * tp.c - self.m12 * tp.d) / det
-        b = (-self.m21 * tp.c + self.m11 * tp.d) / det
-        return DecisionPair(a, b)
+        return DecisionPair(*self.invert_many(tp.c, tp.d))
 
     def apply_many(self, a, b):
         """Vectorized forward transform on stacked coordinates."""
@@ -82,10 +80,7 @@ class PairTransform:
         """Vectorized inverse transform on stacked coordinates."""
         c = np.asarray(c, dtype=float)
         d = np.asarray(d, dtype=float)
-        det = self.m11 * self.m22 - self.m12 * self.m21
-        a = (self.m22 * c - self.m12 * d) / det
-        b = (-self.m21 * c + self.m11 * d) / det
-        return a, b
+        return (self.m22 * c - self.m12 * d) / self.det, (-self.m21 * c + self.m11 * d) / self.det
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -12,6 +12,7 @@ through the interconnection so element blocks stay disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +46,8 @@ __all__ = [
     "make_regular_graph",
     "design_grid",
     "cosine_coefficients_to_taps",
+    "Problem",
+    "PROBLEMS",
     "PROBLEM_NAMES",
     "default_instance",
     "build",
@@ -65,14 +68,9 @@ class BuiltProblem:
     def primal(self, d: np.ndarray) -> np.ndarray:
         return self.system.primal_mix(d)
 
-    def named(self, z: np.ndarray) -> dict:
-        out = {}
-        for key, sel in self.layout.items():
-            out[key] = z[sel]
-        return out
-
     def solution(self, d: np.ndarray) -> dict:
-        return self.named(self.primal(d))
+        z = self.primal(d)
+        return {key: z[sel] for key, sel in self.layout.items()}
 
 
 def _element_cost_objective(elements):
@@ -127,7 +125,7 @@ class LassoInstance:
         return cls(A=A, y=y, **weights)
 
 
-def _build_lasso(inst: LassoInstance, sparsity_relation) -> BuiltProblem:
+def _build_lasso(name: str, inst: LassoInstance, sparsity_relation) -> BuiltProblem:
     m, n = inst.A.shape
     N = n + m
     ic = from_constraints(
@@ -139,7 +137,7 @@ def _build_lasso(inst: LassoInstance, sparsity_relation) -> BuiltProblem:
     )
     layout = {"coefficients": slice(0, n), "residual": slice(n, N)}
     return BuiltProblem(
-        name="lasso",
+        name=name,
         system=System(ic, elements),
         instance=inst,
         layout=layout,
@@ -151,17 +149,13 @@ def _build_lasso(inst: LassoInstance, sparsity_relation) -> BuiltProblem:
 def build_lasso_huber(inst: LassoInstance) -> BuiltProblem:
     """Smoothed-l1 regression: Huber penalty on the coefficients, quadratic
     enforcement of the linear measurement equations."""
-    p = _build_lasso(inst, HuberL1(inst.l1_weight, inst.huber_width))
-    p.name = "lasso_huber"
-    return p
+    return _build_lasso("lasso_huber", inst, HuberL1(inst.l1_weight, inst.huber_width))
 
 
 def build_lasso_augmented(inst: LassoInstance) -> BuiltProblem:
     """Exact-l1 regression with a quadratic augmentation weight on the
     measurement residual."""
-    p = _build_lasso(inst, SoftThreshold(inst.l1_weight))
-    p.name = "lasso_augmented"
-    return p
+    return _build_lasso("lasso_augmented", inst, SoftThreshold(inst.l1_weight))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +231,7 @@ def _shift_linear_cost(ic: AffineInterconnection, cost_idx) -> AffineInterconnec
     """
     g = np.zeros(ic.dim)
     g[np.asarray(cost_idx)] = 1.0
-    return replace(ic, s=ic.s - ic.G @ g - g)
+    return replace(ic, s=ic.s - ic.linear(g) - g)
 
 
 def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
@@ -616,47 +610,119 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
 
 
 # ---------------------------------------------------------------------------
+# Reference comparisons of a fixed point d.  `oracles` imports this module,
+# so it is imported on call (at module level it would also make importing
+# this module load scipy), and its solvers are looked up there at call time.
+
+
+def _compare_lasso_huber(built: BuiltProblem, d: np.ndarray) -> dict:
+    from . import oracles
+
+    ref = oracles.oracle_lasso_huber(built.instance)
+    z = built.primal(d)
+    x = z[built.layout["coefficients"]]
+    return {
+        "max_coefficient_error": float(np.abs(x - ref.x).max()),
+        "objective_gap": built.objective(z) - ref.value,
+    }
+
+
+def _compare_lasso_augmented(built: BuiltProblem, d: np.ndarray) -> dict:
+    from . import oracles
+
+    ref = oracles.oracle_lasso(built.instance)
+    x = built.primal(d)[built.layout["coefficients"]]
+    thr = 1e-6
+    return {
+        "max_coefficient_error": float(np.abs(x - ref.x).max()),
+        "support_match": bool(np.array_equal(np.abs(x) > thr, np.abs(ref.x) > thr)),
+    }
+
+
+def _fir_metrics(built: BuiltProblem, h: np.ndarray) -> dict:
+    from . import oracles
+
+    ref = oracles.oracle_minimax_lp(built.instance)
+    ex = built.extras
+    C = _cosine_matrix(ex["omega"], built.instance.half_taps)
+    err = float(np.abs(ex["weights"] * (C @ h - ex["desired"])).max())
+    return {"max_grid_error": err, "oracle_optimum": ref.value, "error_ratio": err / ref.value}
+
+
+def _compare_minimax_fir(built: BuiltProblem, d: np.ndarray) -> dict:
+    return _fir_metrics(built, built.primal(d)[built.layout["coefficients"]])
+
+
+def _compare_minimax_fir_split(built: BuiltProblem, d: np.ndarray) -> dict:
+    z = built.primal(d)
+    h = (z[built.layout["coefficients_pass"]] + z[built.layout["coefficients_stop"]]) / 2.0
+    return _fir_metrics(built, h)
+
+
+def _compare_svm(built: BuiltProblem, d: np.ndarray) -> dict:
+    from . import oracles
+
+    ref = oracles.oracle_svm_qp(built.instance)
+    w, b = consensus_classifier(built, d)
+    X = built.instance.features
+    agree = np.sign(X @ w + b) == np.sign(X @ ref.x + ref.extras["bias"])
+    return {"classification_agreement": float(np.mean(agree)),
+            "consensus_gap": consensus_gap(built, d)}
+
+
+# ---------------------------------------------------------------------------
 # Registry
 
-PROBLEM_NAMES = (
-    "lasso_huber",
-    "lasso_augmented",
-    "minimax_fir",
-    "minimax_fir_split",
-    "svm_consensus",
-    "sparse_equalizer",
-)
+
+@dataclass(frozen=True)
+class Problem:
+    """A shipped problem: its default instance, builder and reference comparison."""
+
+    instance: Callable  # (seed=..., **instance parameters) -> instance
+    builder: Callable  # (instance, **builder parameters) -> BuiltProblem
+    builder_params: tuple[str, ...] = ()
+    compare: Callable | None = None  # (built, d) -> metrics; None: no reference
+
+
+def _fir_spec(seed: int = 0, **params) -> FirSpec:
+    return FirSpec(**params)  # deterministic: `seed` is accepted for uniformity
+
+
+PROBLEMS = {
+    "lasso_huber": Problem(LassoInstance.random, build_lasso_huber,
+                           compare=_compare_lasso_huber),
+    "lasso_augmented": Problem(LassoInstance.random, build_lasso_augmented,
+                               compare=_compare_lasso_augmented),
+    "minimax_fir": Problem(_fir_spec, build_minimax_fir, compare=_compare_minimax_fir),
+    "minimax_fir_split": Problem(_fir_spec, build_minimax_fir_split, ("coupling_weight",),
+                                 _compare_minimax_fir_split),
+    "svm_consensus": Problem(SvmInstance.separable_blobs, build_svm_decentralized,
+                             compare=_compare_svm),
+    # nonconvex: no independent solver finds its global optimum
+    "sparse_equalizer": Problem(EqualizerInstance.synthetic, build_sparse_equalizer),
+}
+
+PROBLEM_NAMES = tuple(PROBLEMS)
+
+
+def _problem(name: str) -> Problem:
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}")
+    return PROBLEMS[name]
 
 
 def default_instance(name: str, seed: int = 0, params: dict | None = None):
-    """The default desk-scale instance for each named problem."""
-    params = dict(params or {})
-    if name in ("lasso_huber", "lasso_augmented"):
-        return LassoInstance.random(seed=seed, **params)
-    if name in ("minimax_fir", "minimax_fir_split"):
-        params.pop("coupling_weight", None)
-        return FirSpec(**params)
-    if name == "svm_consensus":
-        return SvmInstance.separable_blobs(seed=seed, **params)
-    if name == "sparse_equalizer":
-        return EqualizerInstance.synthetic(seed=seed, **params)
-    raise ValueError(f"unknown problem {name!r}")
+    """The default desk-scale instance for each named problem.  Keys of
+    `params` that the builder takes are left to `build`; any other key the
+    instance factory does not take raises TypeError."""
+    problem = _problem(name)
+    params = {k: v for k, v in (params or {}).items() if k not in problem.builder_params}
+    return problem.instance(seed=seed, **params)
 
 
 def build(name: str, instance, params: dict | None = None) -> BuiltProblem:
-    params = dict(params or {})
-    if name == "lasso_huber":
-        return build_lasso_huber(instance)
-    if name == "lasso_augmented":
-        return build_lasso_augmented(instance)
-    if name == "minimax_fir":
-        return build_minimax_fir(instance)
-    if name == "minimax_fir_split":
-        if "coupling_weight" in params:
-            return build_minimax_fir_split(instance, params["coupling_weight"])
-        return build_minimax_fir_split(instance)
-    if name == "svm_consensus":
-        return build_svm_decentralized(instance)
-    if name == "sparse_equalizer":
-        return build_sparse_equalizer(instance)
-    raise ValueError(f"unknown problem {name!r}")
+    """Build a named problem, passing on the keys of `params` its builder takes."""
+    problem = _problem(name)
+    params = params or {}
+    kwargs = {k: params[k] for k in problem.builder_params if k in params}
+    return problem.builder(instance, **kwargs)

@@ -110,6 +110,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 1
         cfg_path.write_text("not json")
         assert main(["run", "--config", str(cfg_path)]) == 1
+        # an instance parameter that neither the instance nor the builder takes
+        cfg_path.write_text(json.dumps({"instance": {"coupling_weight": 5.0}}))
+        assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path)]) == 1
 
     def test_invalid_p_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -13,6 +13,9 @@ from scatopt.elements import (
     SoftThreshold,
     dissipativity_probe,
 )
+from scatopt import monitor
+from scatopt.engine import System
+from scatopt.interconnect import AffineInterconnection
 from scatopt.pairs import Block
 
 from grid_oracle import elementwise_cost, grid_prox
@@ -307,6 +310,17 @@ class TestDissipativityProbe:
         assert Quadratic(1.0).dissipative
 
     def test_sample_count_validation(self):
+        # a one-coordinate system with G = I, s = 0 and fixed point 0, so
+        # that the certificates get past their fixed-point check
         el = Element(Quadratic(1.0), Block(0, 1))
-        with pytest.raises(ValueError):
-            dissipativity_probe(el, np.array([0.0]), n=0)
+        system = System(AffineInterconnection(np.eye(1), np.zeros(1)), [el])
+        d_star = np.zeros(1)
+        probes = (
+            lambda n: dissipativity_probe(el, d_star, n=n),
+            lambda n: monitor.certify_eq1(system, d_star, n=n),
+            lambda n: monitor.certify_eq2(system, d_star, n=n),
+        )
+        for probe in probes:
+            for n in (0, -5):
+                with pytest.raises(ValueError, match="at least one sample"):
+                    probe(n)

@@ -122,10 +122,13 @@ class TestSparseApply:
             assert ic.apply(c).shape == c.shape
 
     def test_import_leaves_scipy_sparse_unloaded(self):
-        code = "import sys, scatopt; print('scipy.sparse' in sys.modules)"
+        # scatopt.problems imports the oracles, and with them
+        # scipy.optimize, only when a comparison runs
+        code = ("import sys, scatopt, scatopt.problems; "
+                "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
 
 
 class TestAbsorbSources:
