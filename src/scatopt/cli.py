@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import monitor, oracles, problems
@@ -27,6 +28,12 @@ class ConfigError(ValueError):
     pass
 
 
+# per annotated field type, the values it accepts and their JSON name;
+# `bool` is an `int` to Python but never a number in a config
+_FIELD_TYPES = {"str": (str, "a string"), "float": (numbers.Real, "a number"),
+                "int": (numbers.Integral, "an integer"), "dict": (dict, "an object")}
+
+
 @dataclass
 class RunConfig:
     problem: str = "lasso_huber"
@@ -40,6 +47,11 @@ class RunConfig:
     instance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, json_name = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {json_name}, got {value!r}")
         if self.problem not in problems.PROBLEM_NAMES:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(problems.PROBLEM_NAMES)}"
@@ -50,7 +62,7 @@ class RunConfig:
             raise ConfigError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")

@@ -5,11 +5,15 @@ Each relation documents its cost f and the closed-form prox
     prox_f(d) = argmin_x  (1/2) (x - d)^2 + f(x).
 The reflected map is nonexpansive exactly when f is convex, which is the
 property the convergence certificates in `monitor` rely on.
+
+Every prox acts on the last axis of a stack `(..., L)`, with numeric
+parameters per coordinate or, for the `blockwise` relations, per block of
+a stack `(..., k, L)`; `group_elements` makes one call of it per group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "OneSidedPenalty",
     "CappedL1",
     "Element",
+    "group_elements",
     "DissipativityReport",
     "dissipativity_probe",
 ]
@@ -35,6 +40,13 @@ def _check(value, name: str, strict: bool = False) -> None:
     v = np.asarray(value)
     if not np.all(v > 0 if strict else v >= 0):
         raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'}, got {value}")
+
+
+def _total(weight, values) -> float:
+    """sum_i weight_i values_i; a scalar weight multiplies the plain sum."""
+    if np.ndim(weight) == 0:
+        return weight * float(np.sum(values))
+    return float(np.sum(weight * values))
 
 
 @dataclass(frozen=True)
@@ -56,7 +68,7 @@ class Quadratic:
         return (d + self.weight * self.target) / (1.0 + self.weight)
 
     def cost(self, x):
-        return 0.5 * self.weight * float(np.sum((np.asarray(x) - self.target) ** 2))
+        return _total(0.5 * self.weight, (np.asarray(x) - self.target) ** 2)
 
 
 @dataclass(frozen=True)
@@ -106,46 +118,37 @@ class SoftThreshold:
         return np.sign(d) * np.maximum(np.abs(d) - self.weight, 0.0)
 
     def cost(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return _total(self.weight, np.abs(x))
 
 
 @dataclass(frozen=True)
 class LinfEpigraph:
     """Indicator of {(e, t): max|e_i| <= t}; the block's last coordinate is t.
 
-    prox is the Euclidean projection onto the epigraph of the max-abs norm,
-    found by a sorted threshold search over the active set.
+    prox is the Euclidean projection onto the epigraph of the max-abs norm:
+    with |e| sorted in decreasing order, t moves to the level
+    (t + sum of the first k) / (k + 1) of the last k whose k-th magnitude
+    exceeds it (t stays where no magnitude does, and a level below 0 is the
+    vertex 0), and every |e_i| is clipped to that level.
     """
 
     dissipative = True
+    blockwise = True
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        e, t = d[:-1], d[-1]
-        a = np.abs(e)
-        if a.size == 0 or a.max() <= t:
-            return d.copy()
-        # shrink the largest magnitudes and grow t until they meet
-        srt = np.sort(a)[::-1]
-        csum = np.cumsum(srt)
-        k = np.arange(1, a.size + 1)
-        levels = (csum + t) / (k + 1.0)
-        active = srt > levels
-        if not np.any(active):
-            t_new = t
-        else:
-            kk = int(np.max(np.nonzero(active)[0])) + 1
-            t_new = (csum[kk - 1] + t) / (kk + 1.0)
-        if t_new <= 0.0:
-            return np.zeros_like(d)
-        out = np.empty_like(d)
-        out[:-1] = np.clip(e, -t_new, t_new)
-        out[-1] = t_new
-        return out
+        e, t = d[..., :-1], d[..., -1:]
+        srt = np.sort(np.abs(e), axis=-1)[..., ::-1]
+        k = np.arange(e.shape[-1])
+        levels = (np.cumsum(srt, axis=-1) + t) / (k + 2.0)
+        last = np.where(srt > levels, k, -1).max(axis=-1, keepdims=True)
+        t_new = np.maximum(np.where(last >= 0, np.take_along_axis(levels, last, -1), t), 0.0)
+        return np.concatenate([np.minimum(np.maximum(e, -t_new), t_new), t_new], axis=-1)
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        return 0.0 if np.abs(x[:-1]).max(initial=0.0) <= x[-1] + 1e-9 else np.inf
+        feasible = np.abs(x[..., :-1]).max(axis=-1, initial=0.0) <= x[..., -1] + 1e-9
+        return 0.0 if np.all(feasible) else np.inf
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ class Hinge:
         return np.where(d >= 1.0, d, np.minimum(d + self.weight, 1.0))
 
     def cost(self, x):
-        return self.weight * float(np.sum(np.maximum(0.0, 1.0 - np.asarray(x))))
+        return _total(self.weight, np.maximum(0.0, 1.0 - np.asarray(x)))
 
 
 @dataclass(frozen=True)
@@ -180,6 +183,7 @@ class PairCoupling:
 
     weight: float
     dissipative = True
+    blockwise = True
 
     def __post_init__(self):
         _check(self.weight, "weight")
@@ -195,7 +199,7 @@ class PairCoupling:
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * self.weight * float((x[0] - x[1]) ** 2)
+        return _total(0.5 * self.weight, (x[..., 0] - x[..., 1]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ class OneSidedPenalty:
             v = np.maximum(0.0, x - self.bound)
         else:
             v = np.maximum(0.0, self.bound - x)
-        return 0.5 * self.weight * float(np.sum(v**2))
+        return _total(0.5 * self.weight, v**2)
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,7 @@ class CappedL1:
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
-        return self.height * float(np.sum(np.minimum(np.abs(x) / self.notch_width, 1.0)))
+        return _total(self.height, np.minimum(np.abs(x) / self.notch_width, 1.0))
 
 
 @dataclass(frozen=True)
@@ -301,13 +305,47 @@ class Element:
     def dissipative(self) -> bool:
         return self.relation.dissipative
 
-    def prox(self, d_block):
-        return self.relation.prox(np.asarray(d_block, dtype=float))
-
     def reflect(self, d_block):
         """The map the iteration runs, c = 2 prox(d) - d."""
         d_block = np.asarray(d_block, dtype=float)
         return 2.0 * self.relation.prox(d_block) - d_block
+
+
+def group_elements(elements) -> list:
+    """The element bank: one (index array, relation) pair per group, such
+    that `relation.prox(d[..., index])` is every member's prox at once.
+
+    Elements group by relation type and text parameters (`side`), blockwise
+    relations also by block length, in the order of their first element.
+    A group of one element is its block's slice and its relation.  A larger
+    group's index is its coordinates (n,), or for a blockwise relation its
+    blocks (k, L); a numeric parameter that every member holds as the same
+    scalar stays that scalar, any other is stacked per coordinate, or per
+    block for a blockwise relation.
+    """
+    groups = {}
+    for el in elements:
+        rel = el.relation
+        length = el.block.length if getattr(rel, "blockwise", False) else None
+        text = tuple(v for v in vars(rel).values() if isinstance(v, str))
+        groups.setdefault((type(rel), length, text), []).append(el)
+    bank = []
+    for (_, length, _), members in groups.items():
+        if len(members) == 1:  # a slice, not a gather, and the relation as it is
+            bank.append((members[0].block.slice, members[0].relation))
+            continue
+        idxs = [np.arange(el.block.offset, el.block.stop) for el in members]
+        sizes = [1 if length else len(idx) for idx in idxs]
+        params = {}
+        for name, first in vars(members[0].relation).items():
+            values = [vars(el.relation)[name] for el in members]
+            if isinstance(first, str) or all(np.ndim(v) == 0 and v == first for v in values):
+                continue
+            params[name] = np.concatenate([
+                np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v, n in zip(values, sizes)])
+        bank.append((np.stack(idxs) if length else np.concatenate(idxs),
+                     replace(members[0].relation, **params)))
+    return bank
 
 
 @dataclass(frozen=True)
@@ -318,17 +356,18 @@ class DissipativityReport:
 
 
 def _deviations(f, center: np.ndarray, n: int, radius: float, seed: int):
-    """The probes' sampling loop: yield (e, f(center + e) - f(center)) for n
+    """The probes' sampling loop: pairs (e, f(center + e) - f(center)) for n
     points e uniform in the ball of the given radius (per point a normal
-    direction, then the length radius * U^(1/dim)); ValueError if n < 1."""
+    direction, then the length radius * U^(1/dim)), `f` mapping the stack
+    of all n points at once; ValueError if n < 1."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
-    f_center = f(center)
-    for _ in range(n):
+    E = np.empty((n, center.size))
+    for e in E:
         u = rng.normal(size=center.size)
-        e = u * (radius * rng.random() ** (1.0 / center.size) / np.linalg.norm(u))
-        yield e, f(center + e) - f_center
+        e[:] = u * (radius * rng.random() ** (1.0 / center.size) / np.linalg.norm(u))
+    return zip(E, f(center + E) - f(center))
 
 
 def dissipativity_probe(

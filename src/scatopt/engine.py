@@ -11,12 +11,12 @@ primal/dual decision pairs are read out by inverting the pair transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .elements import LinfEpigraph, PairCoupling
+from .elements import group_elements
 from .interconnect import AffineInterconnection
 from .pairs import PairTransform, canonical_transform
 
@@ -43,77 +43,6 @@ class DivergedError(RuntimeError):
         self.trace = trace
 
 
-class _Bank:
-    """Vectorized evaluation of all element prox maps, grouped by kind."""
-
-    def __init__(self, elements):
-        scalar_groups = {}
-        self.pair_idx_u = []
-        self.pair_idx_v = []
-        self.pair_weight = []
-        self.epigraphs = []
-        for el in elements:
-            rel = el.relation
-            idx = np.arange(el.block.offset, el.block.stop)
-            if isinstance(rel, PairCoupling):
-                self.pair_idx_u.append(el.block.offset)
-                self.pair_idx_v.append(el.block.offset + 1)
-                self.pair_weight.append(rel.weight)
-            elif isinstance(rel, LinfEpigraph):
-                self.epigraphs.append((el.block.slice, rel))
-            else:
-                key = self._key(rel)
-                grp = scalar_groups.setdefault(key, ([], []))
-                grp[0].append(idx)
-                grp[1].append(rel)
-        self.scalar_groups = []
-        for key, (idx_lists, rels) in scalar_groups.items():
-            idx = np.concatenate(idx_lists)
-            params = {
-                name: np.concatenate(
-                    [np.broadcast_to(np.asarray(getattr(r, name), dtype=float), (len(il),))
-                     for r, il in zip(rels, idx_lists)]
-                )
-                for name in key[1]
-            }
-            proto = replace(rels[0], **params) if params else rels[0]
-            self.scalar_groups.append((idx, proto))
-        if self.pair_idx_u:
-            self.pair_idx_u = np.asarray(self.pair_idx_u)
-            self.pair_idx_v = np.asarray(self.pair_idx_v)
-            w = np.asarray(self.pair_weight, dtype=float)
-            self.pair_shrink = w / (1.0 + 2.0 * w)
-        else:
-            self.pair_idx_u = None
-
-    @staticmethod
-    def _key(rel):
-        numeric = tuple(
-            name for name in getattr(rel, "__dataclass_fields__", {})
-            if not isinstance(getattr(rel, name), str)
-        )
-        side = getattr(rel, "side", "")
-        return (type(rel).__name__, numeric, side)
-
-    def prox(self, d: np.ndarray) -> np.ndarray:
-        out = np.empty_like(d)
-        for idx, rel in self.scalar_groups:
-            out[..., idx] = rel.prox(d[..., idx])
-        if self.pair_idx_u is not None:
-            du = d[..., self.pair_idx_u]
-            dv = d[..., self.pair_idx_v]
-            diff = self.pair_shrink * (du - dv)
-            out[..., self.pair_idx_u] = du - diff
-            out[..., self.pair_idx_v] = dv + diff
-        for sl, rel in self.epigraphs:
-            if d.ndim == 1:
-                out[sl] = rel.prox(d[sl])
-            else:
-                for i in range(d.shape[0]):
-                    out[i, sl] = rel.prox(d[i, sl])
-        return out
-
-
 class System:
     """An interconnection, its elements, the pair transform, and averaging."""
 
@@ -129,7 +58,7 @@ class System:
         self.elements = tuple(elements)
         self.transform = transform if transform is not None else canonical_transform()
         self._validate_blocks()
-        self._bank = _Bank(self.elements)
+        self._bank = group_elements(self.elements)
 
     def _validate_blocks(self):
         n = self.interconnection.dim
@@ -164,14 +93,19 @@ class System:
     def dim(self) -> int:
         return self.interconnection.dim
 
-    def prox(self, d: np.ndarray) -> np.ndarray:
-        """Blockwise prox of every element at d."""
-        return self._bank.prox(np.asarray(d, dtype=float))
-
     def apply_elements(self, d: np.ndarray) -> np.ndarray:
-        """Blockwise reflected map, c = m(d) = 2 prox(d) - d."""
+        """Blockwise reflected map, c = m(d) = 2 prox(d) - d, of a state
+        (N,) or of every row of a stack (R, N)."""
         d = np.asarray(d, dtype=float)
-        return 2.0 * self._bank.prox(d) - d
+        prox = np.empty_like(d)
+        for idx, rel in self._bank:
+            prox[..., idx] = rel.prox(d[..., idx])
+        return 2.0 * prox - d
+
+    def cost(self, z: np.ndarray) -> float:
+        """Total cost of the elements at the primal mix z."""
+        z = np.asarray(z, dtype=float)
+        return float(sum(rel.cost(z[idx]) for idx, rel in self._bank))
 
     def candidate(self, d: np.ndarray) -> np.ndarray:
         """One full (gamma-averaged) synchronous update from d."""

@@ -73,13 +73,6 @@ class BuiltProblem:
         return {key: z[sel] for key, sel in self.layout.items()}
 
 
-def _element_cost_objective(elements):
-    def objective(z):
-        return float(sum(el.relation.cost(z[el.block.slice]) for el in elements))
-
-    return objective
-
-
 # ---------------------------------------------------------------------------
 # LASSO
 
@@ -136,13 +129,14 @@ def _build_lasso(name: str, inst: LassoInstance, sparsity_relation) -> BuiltProb
         Element(Quadratic(inst.residual_weight, 0.0), Block(n, m)),
     )
     layout = {"coefficients": slice(0, n), "residual": slice(n, N)}
+    system = System(ic, elements)
     return BuiltProblem(
         name=name,
-        system=System(ic, elements),
+        system=system,
         instance=inst,
         layout=layout,
         extras={},
-        objective=_element_cost_objective(elements),
+        objective=system.cost,
     )
 
 
@@ -480,14 +474,14 @@ def build_svm_decentralized(inst: SvmInstance) -> BuiltProblem:
         "biases": agent_base + d_feat,
         "margins": agent_base + d_feat + 1,
     }
-    extras = {"edges": edges}
+    system = System(ic, elements)
     return BuiltProblem(
         name="svm_consensus",
-        system=System(ic, elements),
+        system=system,
         instance=inst,
         layout=layout,
-        extras=extras,
-        objective=_element_cost_objective(elements),
+        extras={"edges": edges},
+        objective=system.cost,
     )
 
 
@@ -589,11 +583,11 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
     free = np.arange(n)
     resid = np.arange(n, N)
     ic = from_constraints(A, free, resid, offset=None)
-    elements = (
+    system = System(ic, (
         Element(CappedL1(inst.cap_height, inst.notch_width), Block(0, n)),
         Element(OneSidedPenalty(inst.upper_weight, inst.upper_env, "upper"), Block(n, m)),
         Element(OneSidedPenalty(inst.lower_weight, inst.lower_env, "lower"), Block(n + m, m)),
-    )
+    ))
     layout = {
         "taps": slice(0, n),
         "output": slice(n, n + m),
@@ -601,11 +595,11 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
     }
     return BuiltProblem(
         name="sparse_equalizer",
-        system=System(ic, elements),
+        system=system,
         instance=inst,
         layout=layout,
         extras={"convolution": T},
-        objective=_element_cost_objective(elements),
+        objective=system.cost,
     )
 
 

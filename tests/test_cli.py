@@ -103,7 +103,7 @@ class TestRunCommand:
         assert summary["config"]["seed"] == 3
         assert summary["config"]["tol"] == 1e-6
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": "lasso_huber", "bogus": 1}))
         assert main(["run", "--config", str(cfg_path)]) == 1
@@ -113,6 +113,13 @@ class TestRunCommand:
         # an instance parameter that neither the instance nor the builder takes
         cfg_path.write_text(json.dumps({"instance": {"coupling_weight": 5.0}}))
         assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path)]) == 1
+        # values of the wrong JSON type
+        for bad in ({"max_iters": 1000.5}, {"p": "0.1"}, {"tol": None},
+                    {"instance": [1, 2]}, {"seed": 1.5}, {"gamma": True}):
+            cfg_path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1, bad
+            assert capsys.readouterr().err.startswith(f"error: {next(iter(bad))} must be "), bad
 
     def test_invalid_p_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -146,6 +146,20 @@ class TestLinfEpigraph:
         with pytest.raises(ValueError, match="length"):
             Element(LinfEpigraph(), Block(0, 1))
 
+    def test_batch_rows_match_single_calls(self):
+        rel = LinfEpigraph()
+        D = np.array([
+            [0.5, -0.3, 1.0, 2.0],  # already feasible, max|e| <= t
+            [0.2, -0.1, 0.3, -5.0],  # projects to the vertex 0
+            [3.0, -2.5, 0.5, 0.2],  # generic: the two largest shrink, t grows
+        ])
+        got = rel.prox(D)
+        for row, d in zip(got, D):
+            assert np.array_equal(row, rel.prox(d))
+        assert np.array_equal(got[0], D[0])
+        assert not got[1].any()
+        np.testing.assert_allclose(got[2], [1.9, -1.9, 0.5, 1.9])
+
 
 class TestHinge:
     def test_flat_region(self):
