@@ -15,11 +15,10 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from . import monitor, oracles, problems
+from . import monitor, problems
 from .elements import dissipativity_probe
 from .engine import DelayBank, run
 from .interconnect import check_orthonormal
-from .pairs import gather
 
 __all__ = ["main", "RunConfig"]
 
@@ -93,19 +92,10 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "problem": args.problem,
-        "mode": args.mode,
-        "p": args.p,
-        "gamma": args.gamma,
-        "seed": args.seed,
-        "tol": args.tol,
-        "max_iters": args.max_iters,
-        "out": args.out,
-    }
-    for key, value in overrides.items():
+    for f in fields(RunConfig):  # every field but `instance` has a flag
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
     known = set(RunConfig.__dataclass_fields__)
     unknown = set(data) - known
     if unknown:
@@ -171,9 +161,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_dissipative = all(el.dissipative for el in system.elements)
     required_ok = True
     for el in system.elements:
-        rep = dissipativity_probe(
-            el, gather(el.block, d_star), n=200, radius=1.0, seed=cfg.seed
-        )
+        rep = dissipativity_probe(el, d_star[el.block.slice], n=200, radius=1.0, seed=cfg.seed)
         informational = not el.dissipative
         if not informational:
             required_ok &= rep.passed
@@ -215,6 +203,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    # the oracles, and with them scipy.optimize, load only here
+    from .oracles import OracleFailure
+
     compare = problems.PROBLEMS[cfg.problem].compare
     if compare is None:
         print(f"compare: no independent oracle exists for {cfg.problem}; "
@@ -222,11 +213,16 @@ def cmd_compare(cfg: RunConfig) -> int:
         return 1
     built = cfg.built_problem()
     result = run(built.system, cfg.delay_bank(), tol=cfg.tol, max_iters=cfg.max_iters)
+    try:
+        metrics = compare(built, result.state.d)
+    except OracleFailure as exc:
+        print(f"error: reference oracle failed: {exc}", file=sys.stderr)
+        return 3
     report = {
         "config": asdict(cfg),
         "converged": result.converged,
         "iterations": int(result.state.iter),
-        "metrics": compare(built, result.state.d),
+        "metrics": metrics,
     }
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,9 +268,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except oracles.OracleFailure as exc:
-        print(f"error: reference oracle failed: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

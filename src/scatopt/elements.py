@@ -14,6 +14,7 @@ a stack `(..., k, L)`; `group_elements` makes one call of it per group.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -355,19 +356,34 @@ class DissipativityReport:
     passed: bool
 
 
-def _deviations(f, center: np.ndarray, n: int, radius: float, seed: int):
-    """The probes' sampling loop: pairs (e, f(center + e) - f(center)) for n
-    points e uniform in the ball of the given radius (per point a normal
-    direction, then the length radius * U^(1/dim)), `f` mapping the stack
-    of all n points at once; ValueError if n < 1."""
+@lru_cache(maxsize=64)
+def _ball_sample(n: int, dim: int, radius: float, seed: int) -> np.ndarray:
+    """n points uniform in the ball of the given radius in R^dim, one per
+    row (per point a normal direction, then the length radius * U^(1/dim)),
+    drawn once per arguments (the 64 most recent are kept) and shared
+    read-only; ValueError if n < 1."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     rng = np.random.default_rng(seed)
-    E = np.empty((n, center.size))
+    E = np.empty((n, dim))
     for e in E:
-        u = rng.normal(size=center.size)
-        e[:] = u * (radius * rng.random() ** (1.0 / center.size) / np.linalg.norm(u))
-    return zip(E, f(center + E) - f(center))
+        u = rng.normal(size=dim)
+        e[:] = u * (radius * rng.random() ** (1.0 / dim) / np.linalg.norm(u))
+    E.flags.writeable = False
+    return E
+
+
+def _deviations(f, center: np.ndarray, n: int, radius: float, seed: int):
+    """The probes' sample: the stack E of n points e in the ball about 0 and
+    the stack f(center + E) - f(center), `f` mapping all n points at once."""
+    E = _ball_sample(n, center.size, radius, seed)
+    return E, f(center + E) - f(center)
+
+
+def _deviation_ratios(f, center: np.ndarray, n: int, radius: float, seed: int) -> np.ndarray:
+    """||f(center + e) - f(center)|| / ||e|| for each of the n sampled e."""
+    E, dev = _deviations(f, center, n, radius, seed)
+    return np.linalg.norm(dev, axis=1) / np.linalg.norm(E, axis=1)
 
 
 def dissipativity_probe(
@@ -385,10 +401,5 @@ def dissipativity_probe(
     ||m(d) - m(d_star)|| / ||d - d_star||; passes iff it stays <= 1 + tol.
     """
     d_star = np.atleast_1d(np.asarray(d_star, dtype=float))
-    max_ratio = 0.0
-    for u, dev in _deviations(element.reflect, d_star, n, radius, seed):
-        dist = np.linalg.norm(u)
-        if dist == 0.0:
-            continue
-        max_ratio = max(max_ratio, float(np.linalg.norm(dev) / dist))
+    max_ratio = float(_deviation_ratios(element.reflect, d_star, n, radius, seed).max())
     return DissipativityReport(samples=n, max_ratio=max_ratio, passed=max_ratio <= 1.0 + tol)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .elements import group_elements
 from .interconnect import AffineInterconnection
-from .pairs import PairTransform, canonical_transform
+from .pairs import canonical_transform
 
 __all__ = [
     "System",
@@ -44,19 +44,17 @@ class DivergedError(RuntimeError):
 
 
 class System:
-    """An interconnection, its elements, the pair transform, and averaging."""
+    """An interconnection, its elements, and averaging."""
 
     def __init__(
         self,
         interconnection: AffineInterconnection,
         elements,
-        transform: PairTransform | None = None,
         gamma: float = 0.5,
     ):
         self.gamma = gamma
         self.interconnection = interconnection
         self.elements = tuple(elements)
-        self.transform = transform if transform is not None else canonical_transform()
         self._validate_blocks()
         self._bank = group_elements(self.elements)
 
@@ -191,9 +189,10 @@ class RunResult:
 
 
 def readout(system: System, d: np.ndarray):
-    """Recover the primal/dual pairs (a_i, b_i) from the iteration state."""
+    """Recover the primal/dual pairs (a_i, b_i) from the iteration state;
+    every relation reflects as 2 prox - d, which is the canonical pairing."""
     c = system.apply_elements(d)
-    return system.transform.invert_many(c, d)
+    return canonical_transform().invert_many(c, d)
 
 
 def fixed_point_residual(system: System, d: np.ndarray) -> float:

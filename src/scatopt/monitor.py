@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import _deviations
+from .elements import _deviation_ratios, _deviations
 from .engine import DelayBank, RunTrace, System, fixed_point_residual, run, run_error_system
 
 __all__ = [
@@ -78,12 +78,10 @@ def certify_eq1(
     ||G (m(d) - m(d*))|| equals ||m(d) - m(d*)|| for sampled d about d*.
     """
     d_star = _check_fixed_point(system, d_star)
-    ic = system.interconnection
-    worst = 0.0
-    for _, c_dev in _deviations(system.apply_elements, d_star, n, radius, seed):
-        lhs = np.linalg.norm(ic.linear(c_dev))
-        rhs = np.linalg.norm(c_dev)
-        worst = max(worst, float(abs(lhs - rhs) / (1.0 + rhs)))
+    _, c_dev = _deviations(system.apply_elements, d_star, n, radius, seed)
+    lhs = np.linalg.norm(system.interconnection.linear(c_dev), axis=1)
+    rhs = np.linalg.norm(c_dev, axis=1)
+    worst = float((np.abs(lhs - rhs) / (1.0 + rhs)).max())
     return Eq1Report(samples=n, max_deviation=worst, passed=worst <= tol)
 
 
@@ -111,13 +109,9 @@ def certify_eq2(
     check while reporting fewer strict reductions than samples.
     """
     d_star = _check_fixed_point(system, d_star)
-    worst = 0.0
-    strict = 0
-    for e, c_dev in _deviations(system.apply_elements, d_star, n, radius, seed):
-        ratio = np.linalg.norm(c_dev) / np.linalg.norm(e)
-        worst = max(worst, float(ratio))
-        if ratio < 1.0 - slack:
-            strict += 1
+    ratios = _deviation_ratios(system.apply_elements, d_star, n, radius, seed)
+    worst = float(ratios.max())
+    strict = int(np.count_nonzero(ratios < 1.0 - slack))
     return NormReductionCertificate(
         samples=n, max_ratio=worst, strict_reductions=strict, passed=worst <= 1.0 + slack
     )
@@ -166,15 +160,12 @@ def superposition_gap(
         bank = DelayBank()
     res = run(
         system,
-        DelayBank(bank.mode, bank.p, bank.seed, bank.per_block),
+        bank,
         tol=1e-300,
         max_iters=iters + 1,
         d0=d_star + e0,
         record_states=True,
     )
     traj = res.trace.states
-    err = run_error_system(
-        system, d_star, e0, iters=len(traj) - 1,
-        bank=DelayBank(bank.mode, bank.p, bank.seed, bank.per_block),
-    )
+    err = run_error_system(system, d_star, e0, iters=len(traj) - 1, bank=bank)
     return float(np.abs((traj - d_star) - err[: len(traj)]).max())

@@ -21,8 +21,6 @@ __all__ = [
     "PairTransform",
     "canonical_transform",
     "Block",
-    "gather",
-    "scatter",
 ]
 
 
@@ -114,28 +112,3 @@ class Block:
     @property
     def slice(self) -> slice:
         return slice(self.offset, self.stop)
-
-
-def gather(block: Block, v: np.ndarray) -> np.ndarray:
-    """Extract the sub-vector owned by `block`."""
-    v = np.asarray(v)
-    if block.stop > v.shape[-1]:
-        raise IndexError(
-            f"block [{block.offset}, {block.stop}) exceeds vector length {v.shape[-1]}"
-        )
-    return v[..., block.slice]
-
-
-def scatter(block: Block, sub: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return a copy of `v` with `sub` written into `block`'s coordinates."""
-    v = np.asarray(v)
-    sub = np.asarray(sub)
-    if block.stop > v.shape[-1]:
-        raise IndexError(
-            f"block [{block.offset}, {block.stop}) exceeds vector length {v.shape[-1]}"
-        )
-    if sub.shape[-1] != block.length:
-        raise ValueError(f"sub-vector length {sub.shape[-1]} != block length {block.length}")
-    out = v.copy()
-    out[..., block.slice] = sub
-    return out

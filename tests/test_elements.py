@@ -319,6 +319,15 @@ class TestDissipativityProbe:
         assert not rep.passed
         assert rep.max_ratio > 1.0
 
+    def test_nan_reflection_fails(self):
+        # a NaN ratio fails the probe instead of being passed over
+        class NanQuadratic(Quadratic):
+            def prox(self, d):
+                return np.full_like(d, np.nan)
+
+        rep = dissipativity_probe(Element(NanQuadratic(1.0), Block(0, 1)), np.zeros(1), n=10)
+        assert not rep.passed
+
     def test_capped_l1_flag(self):
         assert not CappedL1(1.0, 1.0).dissipative
         assert Quadratic(1.0).dissipative

@@ -13,7 +13,7 @@ from scatopt.engine import (
     run_error_system,
 )
 from scatopt.interconnect import AffineInterconnection, from_constraints
-from scatopt.pairs import Block
+from scatopt.pairs import Block, canonical_transform
 
 
 def single_quadratic_system(gamma=1.0, weight=1.0, target=0.0):
@@ -244,11 +244,9 @@ class TestReadout:
         assert b[0] == pytest.approx(0.0)
 
     def test_known_pair(self):
-        # with c = sqrt(2), d = 0 the canonical transform gives (1, 1);
-        # build a zero-weight element so c = d, then check directly on the
-        # transform used by readout
-        system = single_quadratic_system()
-        a, b = system.transform.invert_many(np.array([np.sqrt(2.0)]), np.array([0.0]))
+        # with c = sqrt(2), d = 0 the canonical transform, which readout
+        # inverts, gives (1, 1)
+        a, b = canonical_transform().invert_many(np.array([np.sqrt(2.0)]), np.array([0.0]))
         assert a[0] == pytest.approx(1.0)
         assert b[0] == pytest.approx(1.0)
 

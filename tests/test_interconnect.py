@@ -122,9 +122,9 @@ class TestSparseApply:
             assert ic.apply(c).shape == c.shape
 
     def test_import_leaves_scipy_sparse_unloaded(self):
-        # scatopt.problems imports the oracles, and with them
+        # scatopt.problems and scatopt.cli import the oracles, and with them
         # scipy.optimize, only when a comparison runs
-        code = ("import sys, scatopt, scatopt.problems; "
+        code = ("import sys, scatopt, scatopt.problems, scatopt.cli; "
                 "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)

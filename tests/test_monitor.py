@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from scatopt import monitor
+from scatopt.elements import _ball_sample, dissipativity_probe
 from scatopt.engine import DelayBank, RunTrace, fixed_point_residual
 
 
@@ -86,6 +87,63 @@ class TestCertifyEq2:
         assert cert.passed
         assert cert.max_ratio == pytest.approx(1.0, abs=1e-12)
         assert cert.strict_reductions == 0
+
+
+def _reference_deviations(f, center, n, radius, seed):
+    # the probes' sampling loop as it stood before the shared sample:
+    # per point a normal direction, then a length, then pairs (e, dev)
+    rng = np.random.default_rng(seed)
+    E = np.empty((n, center.size))
+    for e in E:
+        u = rng.normal(size=center.size)
+        e[:] = u * (radius * rng.random() ** (1.0 / center.size) / np.linalg.norm(u))
+    return E, zip(E, f(center + E) - f(center))
+
+
+class TestSharedSample:
+    @pytest.fixture(params=["lasso_huber", "svm_consensus"])
+    def built_and_dstar(self, request):
+        if request.param == "lasso_huber":
+            return (request.getfixturevalue("lasso_huber_built"),
+                    request.getfixturevalue("lasso_huber_dstar"))
+        built = request.getfixturevalue("svm_built")
+        return built, monitor.reference_fixed_point(built.system, tol=1e-10)
+
+    def test_probes_match_per_sample_loop(self, built_and_dstar):
+        built, d_star = built_and_dstar
+        system = built.system
+        for el in system.elements:
+            d_el = d_star[el.block.slice]
+            ref = 0.0
+            for e, dev in _reference_deviations(el.reflect, d_el, 200, 1.0, 0)[1]:
+                if np.linalg.norm(e) > 0.0:
+                    ref = max(ref, float(np.linalg.norm(dev) / np.linalg.norm(e)))
+            rep = dissipativity_probe(el, d_el, n=200, radius=1.0, seed=0)
+            assert rep.max_ratio == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+        E_ref, pairs = _reference_deviations(system.apply_elements, d_star, 300, 1.0, 0)
+        worst_dev, worst_ratio, strict = 0.0, 0.0, 0
+        for e, c_dev in pairs:
+            lhs = np.linalg.norm(system.interconnection.linear(c_dev))
+            rhs = np.linalg.norm(c_dev)
+            worst_dev = max(worst_dev, float(abs(lhs - rhs) / (1.0 + rhs)))
+            ratio = float(np.linalg.norm(c_dev) / np.linalg.norm(e))
+            worst_ratio = max(worst_ratio, ratio)
+            strict += ratio < 1.0 - 1e-12
+        eq1 = monitor.certify_eq1(system, d_star, n=300, seed=0)
+        eq2 = monitor.certify_eq2(system, d_star, n=300, seed=0)
+        assert eq1.max_deviation == pytest.approx(worst_dev, rel=0.0, abs=1e-14)
+        assert eq2.max_ratio == pytest.approx(worst_ratio, rel=1e-15, abs=0.0)
+        assert eq2.strict_reductions == strict
+
+        # the sample is drawn once per shape, bit for bit the old stream,
+        # and shared read-only
+        E = _ball_sample(300, system.dim, 1.0, 0)
+        np.testing.assert_array_equal(E, E_ref)
+        assert _ball_sample(300, system.dim, 1.0, 0) is E
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = 0.0
 
 
 class TestTraceStats:

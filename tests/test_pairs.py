@@ -7,8 +7,6 @@ from scatopt.pairs import (
     PairTransform,
     TransformedPair,
     canonical_transform,
-    gather,
-    scatter,
 )
 
 
@@ -81,36 +79,3 @@ class TestBlock:
             Block(-1, 2)
         with pytest.raises(ValueError):
             Block(0, 0)
-
-
-class TestGatherScatter:
-    def test_gather(self):
-        np.testing.assert_array_equal(
-            gather(Block(0, 2), np.array([1.0, 2.0, 3.0])), [1.0, 2.0]
-        )
-
-    def test_scatter(self):
-        v = np.array([1.0, 2.0, 3.0])
-        out = scatter(Block(1, 2), np.array([9.0, 9.0]), v)
-        np.testing.assert_array_equal(out, [1.0, 9.0, 9.0])
-        # input untouched
-        np.testing.assert_array_equal(v, [1.0, 2.0, 3.0])
-
-    def test_gather_after_scatter(self):
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=12)
-        for _ in range(20):
-            off = int(rng.integers(0, 10))
-            length = int(rng.integers(1, 12 - off))
-            block = Block(off, length)
-            sub = rng.normal(size=length)
-            np.testing.assert_array_equal(gather(block, scatter(block, sub, v)), sub)
-
-    def test_out_of_range(self):
-        v = np.zeros(3)
-        with pytest.raises(IndexError):
-            gather(Block(2, 5), v)
-        with pytest.raises(IndexError):
-            scatter(Block(2, 5), np.zeros(5), v)
-        with pytest.raises(ValueError):
-            scatter(Block(0, 2), np.zeros(3), v)
