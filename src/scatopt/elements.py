@@ -127,10 +127,13 @@ class LinfEpigraph:
     """Indicator of {(e, t): max|e_i| <= t}; the block's last coordinate is t.
 
     prox is the Euclidean projection onto the epigraph of the max-abs norm:
-    with |e| sorted in decreasing order, t moves to the level
-    (t + sum of the first k) / (k + 1) of the last k whose k-th magnitude
-    exceeds it (t stays where no magnitude does, and a level below 0 is the
-    vertex 0), and every |e_i| is clipped to that level.
+    a feasible point stays put, and otherwise t moves to the level
+    max(0, max_k (t + S_k) / (k + 2)), where S_k is the sum of the k + 1
+    largest |e_i|, and every |e_i| is clipped to it.  Before the clamp at 0
+    this is the root of the increasing function
+    phi(tau) = tau - t - sum_i (|e_i| - tau)_+, which is <= 0 at every
+    candidate level and is 0 at the one for which the k + 1 largest |e_i|
+    are exactly those above it.
     """
 
     dissipative = True
@@ -140,10 +143,10 @@ class LinfEpigraph:
         d = np.asarray(d, dtype=float)
         e, t = d[..., :-1], d[..., -1:]
         srt = np.sort(np.abs(e), axis=-1)[..., ::-1]
-        k = np.arange(e.shape[-1])
-        levels = (np.cumsum(srt, axis=-1) + t) / (k + 2.0)
-        last = np.where(srt > levels, k, -1).max(axis=-1, keepdims=True)
-        t_new = np.maximum(np.where(last >= 0, np.take_along_axis(levels, last, -1), t), 0.0)
+        levels = (np.cumsum(srt, axis=-1) + t) / (np.arange(e.shape[-1]) + 2.0)
+        # a feasible point keeps its t exactly: with tied magnitudes the
+        # rounded cumulative sum can lift a level above t by an ulp
+        t_new = np.where(srt[..., :1] <= t, t, np.maximum(levels.max(axis=-1, keepdims=True), 0.0))
         return np.concatenate([np.minimum(np.maximum(e, -t_new), t_new), t_new], axis=-1)
 
     def cost(self, x):
@@ -244,10 +247,15 @@ class OneSidedPenalty:
 class CappedL1:
     """Nonconvex capped 1-norm, f(x) = height * min(|x| / notch_width, 1).
 
-    The cost rises with slope height/notch_width near 0 and plateaus at
-    `height` beyond +-notch_width.  prox selects the best of three
-    candidates: stay put on the plateau, soft-threshold down the notch
-    slope, or sit on the notch boundary; ties break toward smaller |x|.
+    The cost rises with slope lam = height/notch_width near 0 and plateaus
+    at `height` beyond +-notch_width.  prox is the cheaper of two points,
+    the soft threshold st = sign(d) max(|d| - lam, 0) clipped to
+    +-notch_width, and the plateau point, d itself where |d| >= notch_width
+    and sign(d) notch_width otherwise; a tie goes to st, the smaller
+    magnitude.  The notch edge sign(d) notch_width, the third local
+    minimizer, never does better: with w the notch width its prox objective
+    exceeds st's by (w - |d| + lam)^2 / 2, and for |d| >= w the plateau's
+    by (|d| - w)^2 / 2 (for |d| < w it is the plateau point).
     """
 
     height: float
@@ -268,17 +276,9 @@ class CappedL1:
         slope = self.height / self.notch_width
         st = np.sign(d) * np.maximum(np.abs(d) - slope, 0.0)
         st = np.clip(st, -self.notch_width, self.notch_width)
-        edge = np.sign(d) * self.notch_width
-        plateau = np.where(np.abs(d) >= self.notch_width, d, edge)
-        cands = np.stack([st, edge, plateau])
-        costs = self._candidate_cost(cands, d)
-        # sort by magnitude so argmin's first-occurrence rule breaks ties
-        # toward the sparser candidate
-        order = np.argsort(np.abs(cands), axis=0, kind="stable")
-        cands = np.take_along_axis(cands, order, axis=0)
-        costs = np.take_along_axis(costs, order, axis=0)
-        best = np.argmin(costs, axis=0)
-        return np.take_along_axis(cands, best[None, ...], axis=0)[0]
+        plateau = np.where(np.abs(d) >= self.notch_width, d, np.sign(d) * self.notch_width)
+        better = self._candidate_cost(st, d) <= self._candidate_cost(plateau, d)
+        return np.where(better, st, plateau)
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)

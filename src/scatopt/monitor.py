@@ -52,9 +52,10 @@ def reference_fixed_point(
 
 
 def _check_fixed_point(system: System, d_star: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """d_star as a float array, once it is checked to be a fixed point."""
+    """d_star as a float array, once it is checked to be a fixed point (a
+    NaN residual is not one)."""
     resid = fixed_point_residual(system, d_star)
-    if resid > tol:
+    if not resid <= tol:
         raise ValueError(f"d_star is not a fixed point (residual {resid:.3e} > {tol:g})")
     return np.asarray(d_star, dtype=float)
 

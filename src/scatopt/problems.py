@@ -547,13 +547,6 @@ class EqualizerInstance:
         if self.notch_width <= 0:
             raise ValueError("notch_width must be positive")
 
-    @property
-    def target(self) -> np.ndarray:
-        m = self.channel.size + self.num_taps - 1
-        t = np.zeros(m)
-        t[self.target_delay] = 1.0
-        return t
-
     @classmethod
     def synthetic(cls, length: int = 32, num_taps: int = 16, seed: int = 0, **kw):
         rng = np.random.default_rng(seed)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatopt.elements import (
     CappedL1,
@@ -240,6 +244,154 @@ class TestCappedL1:
             CappedL1(-1.0, 1.0)
         with pytest.raises(ValueError):
             CappedL1(1.0, 0.0)
+
+
+def epigraph_prox_by_search(d):
+    """The selection form of the epigraph projection: with |e| sorted in
+    decreasing order, t moves to the level (t + sum of the first k) / (k + 1)
+    of the last k whose k-th magnitude exceeds it (t stays where none does),
+    clamped at 0, and every |e_i| is clipped to that level."""
+    d = np.asarray(d, dtype=float)
+    e, t = d[..., :-1], d[..., -1:]
+    srt = np.sort(np.abs(e), axis=-1)[..., ::-1]
+    k = np.arange(e.shape[-1])
+    levels = (np.cumsum(srt, axis=-1) + t) / (k + 2.0)
+    last = np.where(srt > levels, k, -1).max(axis=-1, keepdims=True)
+    t_new = np.maximum(np.where(last >= 0, np.take_along_axis(levels, last, -1), t), 0.0)
+    return np.concatenate([np.minimum(np.maximum(e, -t_new), t_new), t_new], axis=-1)
+
+
+def capped_l1_prox_by_sort(rel, d):
+    """The three-candidate form of the capped-l1 prox: the cheapest of the
+    clipped soft threshold, the notch edge and the plateau point, ties going
+    to the smallest magnitude through a stable magnitude sort."""
+    d = np.asarray(d, dtype=float)
+    slope = rel.height / rel.notch_width
+    soft = np.clip(np.sign(d) * np.maximum(np.abs(d) - slope, 0.0),
+                   -rel.notch_width, rel.notch_width)
+    edge = np.sign(d) * rel.notch_width
+    plateau = np.where(np.abs(d) >= rel.notch_width, d, edge)
+    cands = np.stack([soft, edge, plateau])
+    costs = 0.5 * (cands - d) ** 2 + rel.height * np.minimum(np.abs(cands) / rel.notch_width, 1.0)
+    order = np.argsort(np.abs(cands), axis=0, kind="stable")
+    cands = np.take_along_axis(cands, order, axis=0)
+    costs = np.take_along_axis(costs, order, axis=0)
+    best = np.argmin(costs, axis=0)
+    return np.take_along_axis(cands, best[None, ...], axis=0)[0]
+
+
+def exact_epigraph_level(d):
+    """The projection's level in rational arithmetic: t for a feasible
+    point, else max(0, max_k (t + S_k) / (k + 2))."""
+    mags = sorted((abs(Fraction(x)) for x in d[:-1]), reverse=True)
+    t = Fraction(d[-1])
+    if mags[0] <= t:
+        return t
+    return max(0, max((t + s) / (k + 2) for k, s in enumerate(accumulate(mags))))
+
+
+class TestClosedFormsMatchSelection:
+    """The closed-form proxes against the selection forms they replace."""
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 129])
+    def test_epigraph_bitwise(self, L):
+        rng = np.random.default_rng(L)
+        rows = []
+        for scale in (1e-3, 1.0, 1e3):
+            e = rng.normal(scale=scale, size=(40, L - 1))
+            big = np.abs(e).max(axis=1)
+            rows += [np.c_[e, rng.normal(scale=scale, size=40)],  # generic
+                     np.c_[e, 1.5 * big], np.c_[e, big],  # feasible, on the boundary
+                     np.c_[e, -2.0 * np.abs(e).sum(axis=1)]]  # projects to the vertex
+        # tied magnitudes in exact arithmetic
+        tied = rng.choice([-1.0, 1.0], size=(40, L - 1)) * rng.integers(0, 4, size=(40, 1))
+        rows += [np.c_[tied, rng.integers(-3, 4, size=40)],
+                 np.c_[tied[:, :1] * np.ones((1, L - 1)), rng.integers(-3, 4, size=40)],
+                 rng.integers(-3, 4, size=(200, L))]
+        D = np.concatenate(rows).astype(float)
+        rel = LinfEpigraph()
+        assert np.array_equal(rel.prox(D), epigraph_prox_by_search(D))
+        stacked = D.reshape(-1, 4, L)
+        assert np.array_equal(rel.prox(stacked), epigraph_prox_by_search(stacked))
+        for d in D:
+            assert np.array_equal(rel.prox(d), epigraph_prox_by_search(d))
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 129])
+    def test_epigraph_rounded_ties(self, L):
+        # where tied magnitudes make the sums round, both forms agree with
+        # the exact level to within the rounding of the cumulative sum, and a
+        # feasible point is returned as it is
+        rng = np.random.default_rng(L)
+        eps = np.finfo(float).eps
+        base = rng.uniform(1e-3, 1.0, size=300)
+        ties = rng.integers(1, L, size=300)
+        e = base[:, None] * rng.uniform(-1.0, 1.0, size=(300, L - 1))
+        for row, b, n in zip(e, base, ties):
+            row[:n] = b * rng.choice([-1.0, 1.0], size=n)
+        t = base * rng.choice([1.0, 0.5, -0.5, 2.0], size=300)
+        rel = LinfEpigraph()
+        for d in np.c_[e, t]:
+            exact = exact_epigraph_level(d)
+            for p in (rel.prox(d), epigraph_prox_by_search(d)):
+                assert abs(Fraction(p[-1]) - exact) <= (L + 2) * eps * exact
+            if np.abs(d[:-1]).max() <= d[-1]:
+                assert np.array_equal(rel.prox(d), d)
+
+    @pytest.mark.parametrize("height, width", [(1.0, 1.0), (0.1, 0.05), (0.0, 1.0), (3.0, 0.5), (1e-3, 2.0)])
+    def test_capped_l1(self, height, width):
+        rng = np.random.default_rng(7)
+        lam = height / width
+        marks = np.array([0.0, width, width + lam, width + lam / 2, lam])
+        marks = np.concatenate([marks, np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf)])
+        d = np.concatenate([marks, -marks, rng.normal(scale=3 * width, size=5000),
+                            rng.normal(size=5000) * 10 ** rng.uniform(-6, 6, size=5000)])
+        rel = CappedL1(height, width)
+        assert np.array_equal(rel.prox(d), capped_l1_prox_by_sort(rel, d))
+        for x in d[::50]:
+            assert np.array_equal(rel.prox(np.array([x])), capped_l1_prox_by_sort(rel, np.array([x])))
+
+    def test_capped_l1_stacked_parameters(self):
+        rng = np.random.default_rng(8)
+        rel = CappedL1(rng.uniform(0, 2, size=5000), rng.uniform(0.01, 2, size=5000))
+        d = rng.normal(scale=3, size=5000)
+        assert np.array_equal(rel.prox(d), capped_l1_prox_by_sort(rel, d))
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+class TestProxProperties:
+    @PROPERTY
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.lists(finite, min_size=n, max_size=n), st.lists(finite, min_size=n, max_size=n))))
+    def test_epigraph_is_a_projection(self, pair):
+        # feasible, idempotent (a feasible point stays put) and firmly
+        # nonexpansive: ||P x - P y||^2 <= <P x - P y, x - y>
+        rel = LinfEpigraph()
+        x, y = np.array(pair[0]), np.array(pair[1])
+        px, py = rel.prox(x), rel.prox(y)
+        assert np.abs(px[:-1]).max() <= px[-1]
+        assert np.array_equal(rel.prox(px), px)
+        diff = px - py
+        assert diff @ diff <= diff @ (x - y) + 1e-9 * (1 + (x - y) @ (x - y))
+
+    @PROPERTY
+    @given(finite, st.floats(0.0, 10.0), st.floats(1e-3, 10.0))
+    def test_capped_l1_beats_its_local_minimizers(self, d, height, width):
+        # the prox objective at prox(d) is no larger than at the soft
+        # threshold, the notch edge or the plateau point
+        rel = CappedL1(height, width)
+
+        def objective(x):
+            return 0.5 * (x - d) ** 2 + height * min(abs(x) / width, 1.0)
+
+        soft = np.sign(d) * max(abs(d) - height / width, 0.0)
+        edge = np.sign(d) * width
+        plateau = d if abs(d) >= width else edge
+        best = objective(rel.prox(np.array([d]))[0])
+        for x in (soft, edge, plateau):
+            assert best <= objective(x) + 1e-12 * (1 + d * d + height)
 
 
 CONVEX_RELATIONS = [

@@ -89,6 +89,22 @@ class TestCertifyEq2:
         assert cert.strict_reductions == 0
 
 
+@pytest.mark.parametrize("certify", [monitor.certify_eq1, monitor.certify_eq2],
+                         ids=["eq1", "eq2"])
+def test_nan_fixed_point_rejected(certify):
+    # every finite d is a fixed point of the free relation under G = I, but
+    # [nan] is not one: its residual is NaN, not <= tol
+    from scatopt.elements import Element, Quadratic
+    from scatopt.engine import System
+    from scatopt.interconnect import AffineInterconnection
+    from scatopt.pairs import Block
+
+    system = System(AffineInterconnection(np.eye(1), np.zeros(1)),
+                    [Element(Quadratic(0.0), Block(0, 1))])
+    with pytest.raises(ValueError, match="not a fixed point"):
+        certify(system, np.array([np.nan]), n=10)
+
+
 def _reference_deviations(f, center, n, radius, seed):
     # the probes' sampling loop as it stood before the shared sample:
     # per point a normal direction, then a length, then pairs (e, dev)
