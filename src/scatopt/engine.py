@@ -105,14 +105,20 @@ class System:
         z = np.asarray(z, dtype=float)
         return float(sum(rel.cost(z[idx]) for idx, rel in self._bank))
 
-    def candidate(self, d: np.ndarray) -> np.ndarray:
-        """One full (gamma-averaged) synchronous update from d."""
-        full = self.interconnection.apply(self.apply_elements(d))
+    def candidate(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+        """One full (gamma-averaged) synchronous update from d; pass c =
+        m(d) when it is already computed."""
+        if c is None:
+            c = self.apply_elements(d)
+        full = self.interconnection.apply(c)
         return (1.0 - self.gamma) * d + self.gamma * full
 
-    def primal_mix(self, d: np.ndarray) -> np.ndarray:
-        """The decision-variable content (c + d)/2 at the current state."""
-        return (self.apply_elements(d) + d) / 2.0
+    def primal_mix(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+        """The decision-variable content (c + d)/2 at the current state;
+        pass c = m(d) when it is already computed."""
+        if c is None:
+            c = self.apply_elements(d)
+        return (c + d) / 2.0
 
 
 @dataclass
@@ -271,12 +277,19 @@ def run(
     d = np.zeros(system.dim) if d0 is None else np.array(d0, dtype=float)
     draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
     resids, oresids, objs, states = [], [], [], []
+    c = None
+
+    def step(d):
+        # keeps m(d) for the objective, which `observe` takes at the same d
+        nonlocal c
+        c = system.apply_elements(d)
+        return system.candidate(d, c)
 
     def observe(d):
         if d_star is not None:
             oresids.append(float(np.sum((d - d_star) ** 2)))
         if objective is not None:
-            objs.append(float(objective(system.primal_mix(d))))
+            objs.append(float(objective(system.primal_mix(d, c))))
         if record_states:
             states.append(d.copy())
 
@@ -290,7 +303,8 @@ def run(
         )
 
     try:
-        d, k, converged = _iterate(system.candidate, d, tol, max_iters, resids, draw, observe)
+        d, k, converged = _iterate(system.candidate if objective is None else step, d, tol,
+                                   max_iters, resids, draw, observe)
     except DivergedError as exc:
         exc.trace = trace()
         raise

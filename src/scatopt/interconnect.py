@@ -5,8 +5,12 @@ d = G c + s, where G is norm-preserving.  For a problem's linear
 constraints z[resid] = A z[free] - v, the map c -> G c + s is the
 reflection across that affine set, computed in closed form by
 `from_constraints` with one solve of the smaller Gram matrix, I + A A^T
-or I + A^T A.  A sparse G (the decentralized SVM's is block-diagonal)
-is applied through a CSR copy.
+or I + A^T A.  Up to `DENSE_MAX_DIM` coordinates (every shipped default
+problem) G is formed and stored; a sparse G (the decentralized SVM's is
+block-diagonal) is applied through a CSR copy.  Above it the build stops
+at the Gram solve and keeps G = sign (I - 2 L R) as a `FactoredReflection`:
+the two thin factors take O(N k) memory and time per apply, k the smaller
+Gram size, where a dense G takes O(N^2).
 
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
 construction of the same map: a Cayley transform of a skew core, with
@@ -17,7 +21,7 @@ at run time calls them; they stay as the tests' reference for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +32,7 @@ __all__ = [
     "check_orthonormal",
     "OrthonormalityReport",
     "AffineInterconnection",
+    "FactoredReflection",
     "SourceRelation",
     "absorb_sources",
     "from_constraints",
@@ -69,12 +74,31 @@ def check_orthonormal(G: np.ndarray, tol: float = 1e-10) -> OrthonormalityReport
     return OrthonormalityReport(max_deviation=dev, passed=dev <= tol)
 
 
-# G is applied through a CSR copy when at most this fraction of its entries
-# is nonzero.  On one core a CSR product costs about 1 ns per stored nonzero
-# against about 0.12 ns per entry of a dense OpenBLAS product, so CSR pays
-# below a density near 1/8.  The shipped builders lie far on either side:
-# svm_consensus at 0.033 (30 agents) and 0.010 (100), all others 0.48 or more.
+# G, or a factor L or R of a `FactoredReflection`, is applied through a CSR
+# copy when at most this fraction of its entries is nonzero.  On one core a
+# CSR product costs about 1 ns per stored nonzero against about 0.12 ns per
+# entry of a dense OpenBLAS product, so CSR pays below a density near 1/8.
+# The shipped builders lie far on either side: svm_consensus's G at 0.033
+# (30 agents) and 0.010 (100), its factors 0.004 and 0.010 at 100 agents; all
+# other G and the lasso's factors at 0.48 or more.
 SPARSE_DENSITY = 1 / 8
+
+# `from_constraints` stores G densely up to this many coordinates (2^18
+# entries, 2 MB) and as a `FactoredReflection` above.  Every shipped
+# default problem (N <= 480) lies below; at the lasso's N = 2400 the
+# factored apply streams 15 MB per call where the dense G streams 46 MB.
+DENSE_MAX_DIM = 512
+
+
+def _csr_if_sparse(M: np.ndarray):
+    """M as a CSR array when at most `SPARSE_DENSITY` of it is nonzero, else None."""
+    if np.count_nonzero(M) > SPARSE_DENSITY * M.size:
+        return None
+    # Imported here: at module level scipy.sparse would more than double
+    # the time `import scatopt` takes.
+    from scipy.sparse import csr_array
+
+    return csr_array(M)
 
 
 @dataclass(frozen=True)
@@ -97,30 +121,77 @@ class AffineInterconnection:
             raise ValueError("offset contains non-finite entries")
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "s", s)
-        sparse = None
-        if np.count_nonzero(G) <= SPARSE_DENSITY * G.size:
-            # Imported here: at module level scipy.sparse would more than
-            # double the time `import scatopt` takes.
-            from scipy.sparse import csr_array
-
-            sparse = csr_array(G)
-        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "_sparse", _csr_if_sparse(G))
 
     @property
     def dim(self) -> int:
-        return self.G.shape[0]
+        return self.s.shape[0]
 
     def linear(self, c: np.ndarray) -> np.ndarray:
         """G c for one vector (N,) or for each row of a batch (R, N)."""
         c = np.asarray(c, dtype=float)
         if c.shape[-1] != self.dim:
             raise ValueError(f"vector length {c.shape[-1]} != interconnection dim {self.dim}")
+        return self._product(c)
+
+    def _product(self, c: np.ndarray) -> np.ndarray:
         if self._sparse is None:
             return c @ self.G.T
         return (self._sparse @ c.T).T
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         return self.linear(c) + self.s
+
+
+@dataclass(frozen=True)
+class FactoredReflection(AffineInterconnection):
+    """The map c -> G c + s with G = sign (I - 2 L R) kept as its factors.
+
+    L is (N, k) and R is (k, N), each a dense array or, when at most
+    `SPARSE_DENSITY` of it is nonzero, a CSR copy; sign is +1 or -1.
+    `apply` is the inherited one.  Reading `G` forms the dense N x N
+    array anew each time and keeps nothing, so use it for checks only.
+    """
+
+    s: np.ndarray
+    L: np.ndarray
+    R: np.ndarray
+    sign: float
+
+    def __post_init__(self):
+        s = np.asarray(self.s, dtype=float)
+        if s.shape != self.L.shape[:1] or self.R.shape != self.L.shape[::-1]:
+            raise ValueError(
+                f"factor shapes {self.L.shape} and {self.R.shape} do not match "
+                f"offset shape {s.shape}"
+            )
+        if self.sign not in (1.0, -1.0):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("offset contains non-finite entries")
+        object.__setattr__(self, "s", s)
+        for name in ("L", "R"):
+            M = getattr(self, name)
+            if isinstance(M, np.ndarray):
+                if not np.all(np.isfinite(M)):
+                    raise ValueError(f"factor {name} contains non-finite entries")
+                sparse = _csr_if_sparse(M)
+                if sparse is not None:
+                    object.__setattr__(self, name, sparse)
+
+    def _dense(self) -> np.ndarray:
+        G = self.L @ self.R
+        if not isinstance(G, np.ndarray):
+            G = G.toarray()
+        G *= -2.0 * self.sign
+        G[np.diag_indices(self.dim)] += self.sign
+        return G
+
+    # Not stored: every read of G forms the N x N array anew.
+    G: np.ndarray = field(init=False, repr=False, compare=False, default=property(_dense))
+
+    def _product(self, c: np.ndarray) -> np.ndarray:
+        return self.sign * (c - 2.0 * (self.L @ (self.R @ c.T)).T)
 
 
 @dataclass(frozen=True)
@@ -204,6 +275,9 @@ def from_constraints(
     B = [I; A] in (free, resid) row order and z0 = (0, -v),
         G = 2 B X - I,   s = 2 (z0 - B X z0),   X = (I + A^T A)^-1 B^T,
     B X being the projector onto the range of B.  Both give the same map.
+    Above `DENSE_MAX_DIM` coordinates the build stops after the Gram solve
+    and returns the `FactoredReflection` G = sign (I - 2 L R), with
+    (L, R, sign) = (C^T, K^-1 C, +1) or (B, X, -1), and s = z0 - G z0.
     G is symmetric, orthonormal and an involution, and every point of the
     constraint set is fixed.  This equals the paper's construction, the
     Cayley transform of the skew core holding A with the residual columns
@@ -227,20 +301,29 @@ def from_constraints(
     if not np.all(np.isfinite(v)):
         raise ValueError("constraint offset contains non-finite entries")
 
+    z0 = np.zeros(n)
+    z0[resid_idx] = -v
     if nf < m:
-        B = np.zeros((n, nf))
-        B[free_idx] = np.eye(nf)
-        B[resid_idx] = A
-        z0 = np.zeros(n)
-        z0[resid_idx] = -v
-        X = np.linalg.solve(np.eye(nf) + A.T @ A, np.column_stack([B.T, B.T @ z0]))
-        G = 2.0 * B @ X[:, :n]
-        G[np.diag_indices(n)] -= 1.0
-        return AffineInterconnection(G=G, s=2.0 * (z0 - B @ X[:, n]))
-    C = np.zeros((m, n))
-    C[:, free_idx] = A
-    C[:, resid_idx] = -np.eye(m)
-    X = np.linalg.solve(np.eye(m) + A @ A.T, np.column_stack([C, v]))
-    G = -2.0 * C.T @ X[:, :n]
-    G[np.diag_indices(n)] += 1.0
-    return AffineInterconnection(G=G, s=2.0 * C.T @ X[:, n])
+        L = np.zeros((n, nf))  # B
+        L[free_idx] = np.eye(nf)
+        L[resid_idx] = A
+        gram, sign = np.eye(nf) + A.T @ A, -1.0
+    else:
+        C = np.zeros((m, n))
+        C[:, free_idx] = A
+        C[:, resid_idx] = -np.eye(m)
+        L, gram, sign = C.T, np.eye(m) + A @ A.T, 1.0
+    # G = sign (I - 2 L R) and s = z0 - G z0, z0 being a point of the set
+    if n > DENSE_MAX_DIM:
+        R = np.linalg.solve(gram, L.T)
+        x = R @ z0
+    else:
+        X = np.linalg.solve(gram, np.column_stack([L.T, L.T @ z0]))
+        R, x = X[:, :n], X[:, n]
+    u = L @ x
+    s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
+    if n > DENSE_MAX_DIM:
+        return FactoredReflection(s=s, L=L, R=R, sign=sign)
+    G = -2.0 * sign * L @ R
+    G[np.diag_indices(n)] += sign
+    return AffineInterconnection(G=G, s=s)

@@ -216,6 +216,22 @@ class TestRun:
             np.sum((result.state.d - d_star) ** 2), abs=1e-12
         )
 
+    def test_objective_reuses_the_step_bank(self):
+        # the objective sees the step's own m(d): the same values as the
+        # primal mix recomputed at each state, from one bank call per step
+        system, _, _, _ = least_squares_system()
+        calls = []
+        bank = system.apply_elements
+        system.apply_elements = lambda d: calls.append(1) or bank(d)
+        result = run(system, tol=1e-8, objective=lambda z: float(np.sum(z**2)),
+                     record_states=True)
+        del system.apply_elements
+        trace = result.trace
+        expect = [float(np.sum(system.primal_mix(d) ** 2)) for d in trace.states]
+        np.testing.assert_array_equal(trace.objective, expect)
+        # one call per step, then the readout and the final primal mix
+        assert len(calls) == len(trace) + 2
+
     def test_divergence_detected(self):
         # a deliberately non-orthonormal expanding loop blows up
         ic = AffineInterconnection(np.array([[-3.0]]), np.zeros(1))

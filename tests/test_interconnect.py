@@ -1,11 +1,14 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scatopt import interconnect
 from scatopt.interconnect import (
     AffineInterconnection,
+    FactoredReflection,
     SourceRelation,
     absorb_sources,
     cayley,
@@ -123,12 +126,17 @@ class TestSparseApply:
 
     def test_import_leaves_scipy_sparse_unloaded(self):
         # scatopt.problems and scatopt.cli import the oracles, and with them
-        # scipy.optimize, only when a comparison runs
-        code = ("import sys, scatopt, scatopt.problems, scatopt.cli; "
-                "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)")
+        # scipy.optimize, only when a comparison runs; a dense lasso above
+        # the factored cut stores no CSR factor
+        code = ("import sys, scatopt, scatopt.problems as p, scatopt.cli; "
+                "name = 'lasso_augmented'; "
+                "ic = p.build(name, p.default_instance(name, params={'m': 100, 'n': 500})"
+                ").system.interconnection; "
+                "print(type(ic).__name__, 'scipy.sparse' in sys.modules, "
+                "'scipy.optimize' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
-        assert out.stdout.strip() == "False False"
+        assert out.stdout.strip() == "FactoredReflection False False"
 
 
 class TestAbsorbSources:
@@ -319,3 +327,100 @@ class TestFromConstraints:
             from_constraints(A, np.array([0]), np.array([1, 2]))
         with pytest.raises(ValueError, match="offset shape"):
             from_constraints(A, np.array([0, 1]), np.array([2, 3]), offset=np.zeros(3))
+
+
+def block_constraints(n_blocks, rows, cols, seed):
+    """A block-diagonal constraint matrix, so that both factors of the
+    reflection are sparse, with its blocked free and residual indices."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n_blocks * rows, n_blocks * cols))
+    for k in range(n_blocks):
+        A[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols] = rng.normal(size=(rows, cols))
+    return A
+
+
+class TestFactoredReflection:
+    """Above DENSE_MAX_DIM coordinates `from_constraints` keeps G = sign
+    (I - 2 L R) from its Gram solve; it must be the same reflection."""
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize(
+        "n_blocks, rows, cols", [(100, 1, 5), (150, 3, 1)],
+        # m < nf takes the I + A A^T form, m > nf the I + A^T A form
+        ids=["normals", "parametrization"],
+    )
+    def test_matches_dense_reflection(self, n_blocks, rows, cols, storage):
+        rng = np.random.default_rng(60)
+        if storage == "sparse":
+            A = block_constraints(n_blocks, rows, cols, seed=61)
+        else:
+            # scaled as LassoInstance.random scales it, which keeps the
+            # oracle's B B^T solve accurate to 1e-12
+            A = rng.normal(size=(n_blocks * rows, n_blocks * cols)) / np.sqrt(n_blocks * rows)
+        m, nf = A.shape
+        assert m + nf > interconnect.DENSE_MAX_DIM
+        perm = rng.permutation(m + nf)
+        free, resid = perm[:nf], perm[nf:]
+        offset = rng.normal(size=m)
+        ic = from_constraints(A, free, resid, offset=offset)
+        assert isinstance(ic, FactoredReflection)
+        assert ic.sign == (1.0 if m <= nf else -1.0)
+        for M in (ic.L, ic.R):
+            assert isinstance(M, np.ndarray) is (storage == "dense")
+        G, s = TestFromConstraints.reflection_oracle(A, free, resid, offset)
+        np.testing.assert_allclose(ic.s, s, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ic.G, G, rtol=0, atol=1e-12)
+        for c in (rng.normal(size=m + nf), rng.normal(size=(4, m + nf))):
+            np.testing.assert_allclose(ic.linear(c), c @ G.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ic.apply(c), c @ G.T + s, rtol=0, atol=1e-12)
+            assert ic.apply(c).shape == c.shape
+
+    @pytest.mark.parametrize("shape", [(100, 500), (500, 100)], ids=["normals", "parametrization"])
+    def test_symmetric_involution_formed_on_access(self, shape):
+        A = np.random.default_rng(62).normal(size=shape)
+        m, nf = shape
+        ic = from_constraints(A, np.arange(nf), np.arange(nf, nf + m))
+        G = ic.G
+        np.testing.assert_allclose(G, G.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(G @ G, np.eye(m + nf), rtol=0, atol=1e-12)
+        assert "G" not in vars(ic) and ic.G is not G
+
+    def test_dense_up_to_the_cut(self):
+        rng = np.random.default_rng(63)
+        for n, form in ((interconnect.DENSE_MAX_DIM, AffineInterconnection),
+                        (interconnect.DENSE_MAX_DIM + 1, FactoredReflection)):
+            A = rng.normal(size=(n // 4, n - n // 4))
+            ic = from_constraints(A, np.arange(A.shape[1]), np.arange(A.shape[1], n))
+            assert type(ic) is form
+
+    def test_wrong_length_rejected(self):
+        A = np.random.default_rng(64).normal(size=(100, 500))
+        ic = from_constraints(A, np.arange(500), np.arange(500, 600))
+        for c in (np.zeros(599), np.zeros((2, 601))):
+            with pytest.raises(ValueError, match=r"vector length \d+ != interconnection dim 600"):
+                ic.apply(c)
+
+    def test_constructor_validation(self):
+        L, R = np.ones((4, 2)), np.ones((2, 4))
+        with pytest.raises(ValueError, match="factor shapes"):
+            FactoredReflection(np.zeros(3), L, R, 1.0)
+        with pytest.raises(ValueError, match="factor shapes"):
+            FactoredReflection(np.zeros(4), L, L, 1.0)
+        with pytest.raises(ValueError, match="sign"):
+            FactoredReflection(np.zeros(4), L, R, 0.5)
+        with pytest.raises(ValueError, match="offset contains non-finite"):
+            FactoredReflection(np.array([0.0, 0.0, 0.0, np.nan]), L, R, 1.0)
+        with pytest.raises(ValueError, match="factor R contains non-finite"):
+            FactoredReflection(np.zeros(4), L, R * np.inf, -1.0)
+
+    def test_replace_offset_keeps_factors(self):
+        # problems._shift_linear_cost replaces the offset of a built map
+        rng = np.random.default_rng(65)
+        A = block_constraints(150, 3, 1, seed=66)
+        ic = from_constraints(A, np.arange(150), np.arange(150, 600))
+        s = rng.normal(size=ic.dim)
+        shifted = replace(ic, s=s)
+        assert type(shifted) is FactoredReflection
+        assert shifted.L is ic.L and shifted.R is ic.R and shifted.sign == ic.sign
+        c = rng.normal(size=ic.dim)
+        np.testing.assert_array_equal(shifted.apply(c), ic.linear(c) + s)

@@ -14,7 +14,7 @@ from scatopt.elements import (
     SoftThreshold,
 )
 from scatopt.engine import DelayBank, System, run
-from scatopt.interconnect import AffineInterconnection, check_orthonormal
+from scatopt.interconnect import AffineInterconnection, FactoredReflection, check_orthonormal
 from scatopt.pairs import Block
 from scatopt.problems import (
     EqualizerInstance,
@@ -24,6 +24,9 @@ from scatopt.problems import (
     cosine_coefficients_to_taps,
     make_regular_graph,
 )
+
+# a lasso of N = 600 coordinates, above interconnect.DENSE_MAX_DIM
+LARGE_LASSO = {"m": 100, "n": 500, "sparsity": 5}
 
 
 def solve(built, tol=1e-10, max_iters=500000):
@@ -135,14 +138,40 @@ class TestBuilderInvariants:
             make()
 
     @pytest.mark.parametrize(
-        "name, sparse", [("svm_consensus", True), ("lasso_huber", False)])
-    def test_apply_form_follows_density(self, name, sparse):
-        # the svm's G is block-diagonal (3.3 % nonzero); the lasso's is full
-        built = problems.build(name, problems.default_instance(name, seed=0))
+        "name, params, form",
+        [(name, None, "csr" if name == "svm_consensus" else "dense")
+         for name in problems.PROBLEM_NAMES]
+        + [("lasso_augmented", LARGE_LASSO, "factored")],
+        ids=list(problems.PROBLEM_NAMES) + ["lasso_N600"],
+    )
+    def test_apply_form_follows_density(self, name, params, form):
+        # the svm's G is block-diagonal (3.3 % nonzero), the other defaults'
+        # are full; above DENSE_MAX_DIM the map keeps the Gram solve's factors
+        built = problems.build(name, problems.default_instance(name, seed=0, params=params))
         ic = built.system.interconnection
-        assert (ic._sparse is not None) is sparse
+        if form == "factored":
+            assert isinstance(ic, FactoredReflection)
+        else:
+            assert type(ic) is AffineInterconnection
+            assert (ic._sparse is not None) is (form == "csr")
         c = np.random.default_rng(5).normal(size=(3, ic.dim))
         np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "name, params", [("lasso_augmented", LARGE_LASSO), ("svm_consensus", {"n_agents": 40})],
+        ids=["lasso_N600", "svm_40_agents"],
+    )
+    def test_factored_run_matches_dense(self, name, params):
+        # above the cut the factored map takes the dense map's iterations
+        built = problems.build(name, problems.default_instance(name, seed=0, params=params))
+        ic = built.system.interconnection
+        assert isinstance(ic, FactoredReflection)
+        dense = System(AffineInterconnection(ic.G, ic.s), built.system.elements)
+        got = run(built.system, DelayBank(), tol=1e-6)
+        ref = run(dense, DelayBank(), tol=1e-6)
+        assert got.converged and ref.converged
+        assert got.state.iter == ref.state.iter
+        np.testing.assert_allclose(got.state.d, ref.state.d, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES + ("mixed",))
     def test_bank_matches_each_element(self, name):
