@@ -138,22 +138,22 @@ class TestBuilderInvariants:
             make()
 
     @pytest.mark.parametrize(
-        "name, params, form",
-        [(name, None, "csr" if name == "svm_consensus" else "dense")
-         for name in problems.PROBLEM_NAMES]
-        + [("lasso_augmented", LARGE_LASSO, "factored")],
-        ids=list(problems.PROBLEM_NAMES) + ["lasso_N600"],
-    )
-    def test_apply_form_follows_density(self, name, params, form):
-        # the svm's G is block-diagonal (3.3 % nonzero), the other defaults'
-        # are full; above DENSE_MAX_DIM the map keeps the Gram solve's factors
-        built = problems.build(name, problems.default_instance(name, seed=0, params=params))
+        "name, sparse", [(name, name == "svm_consensus") for name in problems.PROBLEM_NAMES])
+    def test_apply_form_follows_density(self, name, sparse):
+        # the svm's G is block-diagonal (3.3 % nonzero), the other defaults' are full
+        built = problems.build(name, problems.default_instance(name, seed=0))
         ic = built.system.interconnection
-        if form == "factored":
-            assert isinstance(ic, FactoredReflection)
-        else:
-            assert type(ic) is AffineInterconnection
-            assert (ic._sparse is not None) is (form == "csr")
+        assert type(ic) is AffineInterconnection
+        assert (ic._sparse is not None) is sparse
+        c = np.random.default_rng(5).normal(size=(3, ic.dim))
+        np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
+
+    def test_large_map_keeps_factors(self):
+        # above DENSE_MAX_DIM the map keeps the Gram solve's factors
+        built = problems.build(
+            "lasso_augmented", problems.default_instance("lasso_augmented", seed=0, params=LARGE_LASSO))
+        ic = built.system.interconnection
+        assert isinstance(ic, FactoredReflection)
         c = np.random.default_rng(5).normal(size=(3, ic.dim))
         np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
 
