@@ -303,8 +303,7 @@ def run(
         )
 
     try:
-        d, k, converged = _iterate(system.candidate if objective is None else step, d, tol,
-                                   max_iters, resids, draw, observe)
+        d, k, converged = _iterate(step, d, tol, max_iters, resids, draw, observe)
     except DivergedError as exc:
         exc.trace = trace()
         raise

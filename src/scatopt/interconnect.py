@@ -84,9 +84,14 @@ def check_orthonormal(G: np.ndarray, tol: float = 1e-10) -> OrthonormalityReport
 SPARSE_DENSITY = 1 / 8
 
 # `from_constraints` stores G densely up to this many coordinates (2^18
-# entries, 2 MB) and as a `FactoredReflection` above.  Every shipped
-# default problem (N <= 480) lies below; at the lasso's N = 2400 the
-# factored apply streams 15 MB per call where the dense G streams 46 MB.
+# entries, 2 MB) and as a `FactoredReflection` above.  The cut keeps every
+# default problem (N <= 480) on the stored G and its results unchanged; it
+# is not the speed crossover, which moves with the Gram size k.  On one
+# BLAS thread a factored apply costs 1.4-2.7x a dense one on the default
+# problems of N <= 137 and overtakes it near N = 200 for a lasso with
+# k = N/6, and desk-workload runs of every default problem took 7 % longer
+# factored.  At the scale lasso's N = 2400 the factored apply streams 15 MB
+# per call against the dense G's 46 MB, in a third of the time.
 DENSE_MAX_DIM = 512
 
 
@@ -187,7 +192,10 @@ class FactoredReflection(AffineInterconnection):
         G[np.diag_indices(self.dim)] += self.sign
         return G
 
-    # Not stored: every read of G forms the N x N array anew.
+    # An accessor, not a stored field: every read of G forms the N x N
+    # array anew and keeps nothing.  This relies on `@dataclass` leaving
+    # an init=False field's default, here the property, as the class
+    # attribute, and on no method of this class assigning G.
     G: np.ndarray = field(init=False, repr=False, compare=False, default=property(_dense))
 
     def _product(self, c: np.ndarray) -> np.ndarray:
@@ -242,10 +250,11 @@ def absorb_sources(
         g[pos : pos + s.block.length] = s.g
         pos += s.block.length
 
-    G_tt = ic.G[np.ix_(keep, keep)]
-    G_tk = ic.G[np.ix_(keep, src_idx)]
-    G_kt = ic.G[np.ix_(src_idx, keep)]
-    G_kk = ic.G[np.ix_(src_idx, src_idx)]
+    G = ic.G
+    G_tt = G[np.ix_(keep, keep)]
+    G_tk = G[np.ix_(keep, src_idx)]
+    G_kt = G[np.ix_(src_idx, keep)]
+    G_kk = G[np.ix_(src_idx, src_idx)]
 
     loop = np.eye(k) - F @ G_kk
     if np.linalg.cond(loop) > 1e12:
