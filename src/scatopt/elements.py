@@ -313,16 +313,17 @@ class Element:
 
 
 def group_elements(elements) -> list:
-    """The element bank: one (index array, relation) pair per group, such
-    that `relation.prox(d[..., index])` is every member's prox at once.
+    """The element bank: one (index, shape, relation) per group, such that
+    `relation.prox(d[..., index].reshape(lead + shape))` is every member's
+    prox at once, d of shape lead + (N,).
 
     Elements group by relation type and text parameters (`side`), blockwise
     relations also by block length, in the order of their first element.
-    A group of one element is its block's slice and its relation.  A larger
-    group's index is its coordinates (n,), or for a blockwise relation its
-    blocks (k, L); a numeric parameter that every member holds as the same
-    scalar stays that scalar, any other is stacked per coordinate, or per
-    block for a blockwise relation.
+    The index is a slice when the blocks form one run, else the coordinates;
+    the shape is (n,), or (k, L) for k blocks of a blockwise relation.  A
+    lone element keeps its relation; in a larger group a numeric parameter
+    that every member holds as the same scalar stays that scalar, any other
+    is stacked per coordinate, or per block for a blockwise relation.
     """
     groups = {}
     for el in elements:
@@ -332,11 +333,7 @@ def group_elements(elements) -> list:
         groups.setdefault((type(rel), length, text), []).append(el)
     bank = []
     for (_, length, _), members in groups.items():
-        if len(members) == 1:  # a slice, not a gather, and the relation as it is
-            bank.append((members[0].block.slice, members[0].relation))
-            continue
-        idxs = [np.arange(el.block.offset, el.block.stop) for el in members]
-        sizes = [1 if length else len(idx) for idx in idxs]
+        sizes = [1 if length else el.block.length for el in members]
         params = {}
         for name, first in vars(members[0].relation).items():
             values = [vars(el.relation)[name] for el in members]
@@ -344,8 +341,13 @@ def group_elements(elements) -> list:
                 continue
             params[name] = np.concatenate([
                 np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v, n in zip(values, sizes)])
-        bank.append((np.stack(idxs) if length else np.concatenate(idxs),
-                     replace(members[0].relation, **params)))
+        if all(a.block.stop == b.block.offset for a, b in zip(members, members[1:])):
+            idx = slice(members[0].block.offset, members[-1].block.stop)  # a view, not a gather
+        else:
+            idx = np.concatenate([np.arange(el.block.offset, el.block.stop) for el in members])
+        shape = (len(members), length) if length else (sum(sizes),)
+        rel = members[0].relation
+        bank.append((idx, shape, rel if len(members) == 1 else replace(rel, **params)))
     return bank
 
 

@@ -95,15 +95,18 @@ class System:
         """Blockwise reflected map, c = m(d) = 2 prox(d) - d, of a state
         (N,) or of every row of a stack (R, N)."""
         d = np.asarray(d, dtype=float)
-        prox = np.empty_like(d)
-        for idx, rel in self._bank:
-            prox[..., idx] = rel.prox(d[..., idx])
-        return 2.0 * prox - d
+        out = np.empty_like(d)
+        for idx, shape, rel in self._bank:
+            x = d[..., idx]
+            out[..., idx] = rel.prox(x.reshape(d.shape[:-1] + shape)).reshape(x.shape)
+        out *= 2.0
+        out -= d
+        return out
 
     def cost(self, z: np.ndarray) -> float:
         """Total cost of the elements at the primal mix z."""
         z = np.asarray(z, dtype=float)
-        return float(sum(rel.cost(z[idx]) for idx, rel in self._bank))
+        return float(sum(rel.cost(z[idx].reshape(shape)) for idx, shape, rel in self._bank))
 
     def candidate(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """One full (gamma-averaged) synchronous update from d; pass c =
@@ -111,7 +114,9 @@ class System:
         if c is None:
             c = self.apply_elements(d)
         full = self.interconnection.apply(c)
-        return (1.0 - self.gamma) * d + self.gamma * full
+        full *= self.gamma
+        full += (1.0 - self.gamma) * d
+        return full
 
     def primal_mix(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """The decision-variable content (c + d)/2 at the current state;
@@ -209,16 +214,16 @@ def fixed_point_residual(system: System, d: np.ndarray) -> float:
 
 def _norm(x: np.ndarray) -> float:
     """||x||, rescaled by max|x| where the plain norm overflows on finite x."""
-    n = float(np.linalg.norm(x))
+    n = math.sqrt(x.dot(x))  # np.linalg.norm's formula for contiguous x, minus its dispatch
     if math.isfinite(n) or not np.isfinite(x).all():
         return n
     scale = float(np.abs(x).max())
-    return scale * float(np.linalg.norm(x / scale))
+    return scale * _norm(x / scale)
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
     """`_norm` of every row of a stack of replica states."""
-    n = np.linalg.norm(X, axis=1)
+    n = np.sqrt(np.add.reduce(X * X, axis=1))
     return n if np.isfinite(n).all() else np.array([_norm(x) for x in X])
 
 
@@ -326,13 +331,27 @@ def run_ensemble(
     seeds[i])`, so row i reproduces that bank's `run` exactly.  Returns
     (residuals, final_states): residuals has one row per seed and one
     column per iteration (gamma-scaled full-update residual).  Raises
-    `DivergedError` when any replica's state becomes non-finite.
+    ValueError for no seeds or tol <= 0, `DivergedError` on a non-finite state.
     """
     banks = [DelayBank("asynchronous", p, s) for s in seeds]
+    if not banks:
+        raise ValueError("need at least one seed")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    # every replica's uniforms in one (R, N) buffer, row i from bank i's stream
+    for bank in banks:
+        bank.reset()
+    U = np.empty((len(banks), system.dim))
+    rows = [(bank._rng.random, u) for bank, u in zip(banks, U)]
+
+    def draw():
+        for random, u in rows:
+            random(out=u)
+        return U < p
+
     d0 = np.zeros(system.dim) if d0 is None else np.asarray(d0, float)
     resids = []
-    D, _, _ = _iterate(system.candidate, np.tile(d0, (len(banks), 1)), tol, max_iters, resids,
-                       lambda: np.stack([bank.triggers(system) for bank in banks]))
+    D, _, _ = _iterate(system.candidate, np.tile(d0, (len(banks), 1)), tol, max_iters, resids, draw)
     return np.asarray(resids).T, D
 
 

@@ -145,7 +145,10 @@ class AffineInterconnection:
         return (self._sparse @ c.T).T
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        return self.linear(c) + self.s
+        """G c + s, into a fresh array the caller may overwrite."""
+        out = self.linear(c)
+        out += self.s
+        return out
 
 
 @dataclass(frozen=True)

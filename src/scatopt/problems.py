@@ -431,27 +431,18 @@ def build_svm_decentralized(inst: SvmInstance) -> BuiltProblem:
     pair_base = n * per_agent
     N = pair_base + n_edge * coords_per_edge
 
-    free, resid = [], []
-    for i in range(n):
-        free.extend(range(agent_base[i], agent_base[i] + d_feat + 1))
-        resid.append(agent_base[i] + d_feat + 1)
-    resid.extend(range(pair_base, N))
-    free = np.asarray(free)
-    resid = np.asarray(resid)
-    free_col = {idx: col for col, idx in enumerate(free)}
+    # free: every agent's (w, b); resid: its margin, then every pair coordinate
+    free = (agent_base[:, None] + np.arange(d_feat + 1)).ravel()
+    resid = np.concatenate([agent_base + d_feat + 1, np.arange(pair_base, N)])
+    cols = np.arange(len(free)).reshape(n, d_feat + 1)  # column of agent i's (w, b)_k
 
+    # margin_i = y_i (x_i . w_i + b_i); pair (u, v) of edge (i, j) copies (w_i, w_j)_k
     A = np.zeros((len(resid), len(free)))
-    for i in range(n):
-        row = i
-        for k in range(d_feat):
-            A[row, free_col[agent_base[i] + k]] = inst.labels[i] * inst.features[i, k]
-        A[row, free_col[agent_base[i] + d_feat]] = inst.labels[i]
-    row = n
-    for (i, j) in edges:
-        for k in range(d_feat + 1):
-            A[row, free_col[agent_base[i] + k]] = 1.0
-            A[row + 1, free_col[agent_base[j] + k]] = 1.0
-            row += 2
+    A[np.arange(n)[:, None], cols] = inst.labels[:, None] * np.c_[inst.features, np.ones(n)]
+    ij = np.asarray(edges, dtype=int).reshape(n_edge, 2)
+    rows = n + 2 * np.arange(n_edge * (d_feat + 1)).reshape(n_edge, d_feat + 1)
+    A[rows, cols[ij[:, 0]]] = 1.0
+    A[rows + 1, cols[ij[:, 1]]] = 1.0
     ic = from_constraints(A, free, resid, offset=None)
 
     elements = []

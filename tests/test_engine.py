@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from scatopt.elements import Element, Quadratic, SoftThreshold
+from scatopt import problems
+from scatopt.elements import Element, Quadratic, SoftThreshold, group_elements
 from scatopt.engine import (
     DelayBank,
     DivergedError,
@@ -293,6 +296,14 @@ class TestRunEnsemble:
         assert np.isfinite(res).all()
         assert res[0, -1] <= 1e-6 * (1.0 + abs(final[0, 0]))
 
+    def test_rejects_no_seeds_and_nonpositive_tol(self):
+        system = single_quadratic_system()
+        with pytest.raises(ValueError, match="seed"):
+            run_ensemble(system, [])
+        for tol in (0.0, -1.0):
+            with pytest.raises(ValueError, match="tolerance"):
+                run_ensemble(system, [0], tol=tol)
+
     def test_all_rows_converge(self):
         system, *_ = least_squares_system()
         res, final = run_ensemble(system, range(5), p=0.1, tol=1e-6, max_iters=200000)
@@ -333,3 +344,95 @@ class TestFixedPointResidual:
         assert fixed_point_residual(sys_half, d) == pytest.approx(
             fixed_point_residual(sys_full, d)
         )
+
+
+def gathered_step(system):
+    """The plain kernel every faster form of the loop must reproduce bit
+    for bit: a bank that gathers every group by index, m(d) = 2 prox(d) - d
+    and the update (1 - gamma) d + gamma (G m(d) + s).  Returns (step, m)."""
+    every = np.arange(system.dim)
+    bank = [(every[idx].reshape(shape), rel) for idx, shape, rel in group_elements(system.elements)]
+    ic, gamma = system.interconnection, system.gamma
+
+    def reflect(d):
+        prox = np.empty_like(d)
+        for idx, rel in bank:
+            prox[..., idx] = rel.prox(d[..., idx])
+        return 2.0 * prox - d
+
+    return (lambda d: (1.0 - gamma) * d + gamma * (ic.linear(reflect(d)) + ic.s)), reflect
+
+
+def plain_loop(step, d, tol, max_iters, draw=None):
+    """The loop with np.linalg.norm and np.where; returns (residuals,
+    iterates seen, final state, updates made)."""
+    norm = np.linalg.norm if d.ndim == 1 else partial(np.linalg.norm, axis=1)
+    resids, seen = [], []
+    for k in range(max_iters):
+        cand = step(d)
+        resids.append(norm(cand - d))
+        seen.append(d)
+        if tol is not None and np.all(resids[-1] <= tol * (1.0 + norm(d))):
+            return resids, seen, d, k
+        d = cand if draw is None else np.where(draw(), cand, d)
+    return resids, seen, d, max_iters
+
+
+def reset_banks(seeds, p=0.1):
+    banks = [DelayBank("asynchronous", p, s) for s in seeds]
+    for bank in banks:
+        bank.reset()
+    return banks
+
+
+@pytest.fixture(scope="module")
+def default_systems():
+    return {name: problems.build(name, problems.default_instance(name, seed=0)).system
+            for name in problems.PROBLEM_NAMES}
+
+
+class TestReferenceKernel:
+    """`run`, `run_ensemble` and `run_error_system` give the plain kernel's
+    residuals, iteration counts and states exactly, on every default problem;
+    within CAP updates all sync runs but svm's reach TOL, no async one does."""
+
+    TOL, CAP = 1e-4, 300
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_run(self, default_systems, name, mode):
+        system = default_systems[name]
+        bank = DelayBank() if mode == "sync" else DelayBank("asynchronous", 0.1, 0)
+        got = run(system, bank, tol=self.TOL, max_iters=self.CAP)
+        draw = None if mode == "sync" else partial(reset_banks([0])[0].triggers, system)
+        resids, _, d, k = plain_loop(gathered_step(system)[0], np.zeros(system.dim),
+                                     self.TOL, self.CAP, draw)
+        assert got.state.iter == k
+        assert np.array_equal(got.trace.self_residual, resids)
+        assert np.array_equal(got.state.d, d)
+
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_ensemble(self, default_systems, name):
+        system = default_systems[name]
+        res, D = run_ensemble(system, [0, 1, 2], p=0.1, tol=self.TOL, max_iters=self.CAP)
+        banks = reset_banks([0, 1, 2])
+        resids, _, d, _ = plain_loop(gathered_step(system)[0], np.zeros((3, system.dim)),
+                                     self.TOL, self.CAP,
+                                     lambda: np.stack([b.triggers(system) for b in banks]))
+        assert np.array_equal(res, np.asarray(resids).T)
+        assert np.array_equal(D, d)
+
+    def test_async_error_system(self, default_systems):
+        # every stored error is its own array: adopting into one in place
+        # would make the whole trajectory read as its last iterate
+        system = default_systems["svm_consensus"]
+        rng = np.random.default_rng(3)
+        d_star, e0 = rng.normal(size=(2, system.dim))
+        got = run_error_system(system, d_star, e0, self.CAP,
+                               DelayBank("asynchronous", 0.1, 0))
+        _, reflect = gathered_step(system)
+        c_star, ic, gamma = reflect(d_star), system.interconnection, system.gamma
+        _, seen, e, _ = plain_loop(
+            lambda e: (1.0 - gamma) * e + gamma * ic.linear(reflect(d_star + e) - c_star),
+            e0, None, self.CAP, partial(reset_banks([0])[0].triggers, system))
+        assert np.array_equal(got, np.asarray(seen + [e]))

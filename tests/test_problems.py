@@ -12,6 +12,7 @@ from scatopt.elements import (
     PairCoupling,
     Quadratic,
     SoftThreshold,
+    group_elements,
 )
 from scatopt.engine import DelayBank, System, run
 from scatopt.interconnect import AffineInterconnection, FactoredReflection, check_orthonormal
@@ -187,9 +188,25 @@ class TestBuilderInvariants:
             for el in system.elements:
                 sel = el.block.slice
                 assert np.array_equal(got[..., sel], el.reflect(D[..., sel])), el
+        # a stack in any memory layout gives the C-ordered stack's bits
+        wide = np.zeros((3, 2 * system.dim))
+        wide[:, ::2] = D
+        for other in (np.asfortranarray(D), wide[:, ::2]):
+            assert np.array_equal(system.apply_elements(other), got)
         z = system.primal_mix(D[0])  # the prox, so inside every indicator's set
         want = sum(el.relation.cost(z[el.block.slice]) for el in system.elements)
         assert system.cost(z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_contiguous_groups_are_views(self):
+        # groups whose coordinates form one run are read through a slice
+        def bank(name):
+            built = problems.build(name, problems.default_instance(name, seed=0))
+            return group_elements(built.system.elements)
+
+        assert [isinstance(idx, slice) for idx, _, _ in bank("minimax_fir_split")] == [True] * 3
+        assert [(type(rel), shape, isinstance(idx, slice)) for idx, shape, rel in bank(
+            "svm_consensus")] == [(Quadratic, (90,), False), (Hinge, (30,), False),
+                                  (PairCoupling, (180, 2), True)]
 
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_orthonormal_and_partitioned(self, name):
