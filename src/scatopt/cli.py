@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
@@ -61,8 +62,10 @@ class RunConfig:
             raise ConfigError(f"p must lie in (0, 1], got {self.p}")
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
 
@@ -153,9 +156,13 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     built = cfg.built_problem()
     system = built.system
-    d_star = monitor.reference_fixed_point(
-        system, tol=min(cfg.tol, 1e-10), max_iters=max(cfg.max_iters, 500000)
-    )
+    try:
+        d_star = monitor.reference_fixed_point(
+            system, tol=min(cfg.tol, 1e-10), max_iters=max(cfg.max_iters, 500000)
+        )
+    except RuntimeError as exc:  # the reference run did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ortho = check_orthonormal(system.interconnection.G)
     element_reports = []
     all_dissipative = all(el.dissipative for el in system.elements)
@@ -182,18 +189,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     report = {
         "config": asdict(cfg),
-        "orthonormality": {"max_deviation": ortho.max_deviation, "passed": ortho.passed},
+        "orthonormality": asdict(ortho),
         "elements": element_reports,
-        "interconnection_neutrality": {
-            "max_deviation": eq1.max_deviation, "samples": eq1.samples, "passed": eq1.passed,
-        },
-        "norm_reduction": {
-            "max_ratio": eq2.max_ratio,
-            "strict_reductions": eq2.strict_reductions,
-            "samples": eq2.samples,
-            "passed": eq2.passed,
-            "informational": not eq2_required,
-        },
+        "interconnection_neutrality": asdict(eq1),
+        "norm_reduction": {**asdict(eq2), "informational": not eq2_required},
         "passed": passed,
     }
     out = Path(cfg.out)

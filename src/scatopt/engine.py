@@ -32,6 +32,7 @@ __all__ = [
     "run_error_system",
     "readout",
     "fixed_point_residual",
+    "oracle_residual",
 ]
 
 
@@ -55,27 +56,21 @@ class System:
         self.gamma = gamma
         self.interconnection = interconnection
         self.elements = tuple(elements)
-        self._validate_blocks()
         self._bank = group_elements(self.elements)
-
-    def _validate_blocks(self):
-        n = self.interconnection.dim
-        covered = np.zeros(n, dtype=bool)
-        for el in self.elements:
-            if el.block.stop > n:
-                raise ValueError(
-                    f"element block [{el.block.offset}, {el.block.stop}) exceeds "
-                    f"system dimension {n}"
-                )
-            seg = covered[el.block.slice]
-            if seg.any():
-                raise ValueError(
-                    f"element blocks overlap at coordinates near {el.block.offset}"
-                )
-            covered[el.block.slice] = True
-        if not covered.all():
-            missing = int(np.nonzero(~covered)[0][0])
-            raise ValueError(f"coordinate {missing} is not owned by any element")
+        # the blocks must partition 0..N-1: count each coordinate's owners
+        # from the bank's index sets, where np.add.at (unlike `+=`) adds up
+        # a coordinate that one gathered group lists twice
+        n = self.dim
+        owners = np.zeros(n, dtype=int)
+        for idx, _, _ in self._bank:
+            top = idx.stop if isinstance(idx, slice) else int(idx.max()) + 1
+            if top > n:
+                raise ValueError(f"element coordinate {top - 1} exceeds system dimension {n}")
+            np.add.at(owners, idx, 1)
+        if (owners > 1).any():
+            raise ValueError(f"element blocks overlap at coordinate {int(np.argmax(owners > 1))}")
+        if not owners.all():
+            raise ValueError(f"coordinate {int(np.argmin(owners))} is not owned by any element")
 
     @property
     def gamma(self) -> float:
@@ -145,6 +140,8 @@ class DelayBank:
             raise ValueError(f"unknown delay mode {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"sampling probability must lie in (0, 1], got {self.p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         self._rng = None
 
     @property
@@ -212,6 +209,31 @@ def fixed_point_residual(system: System, d: np.ndarray) -> float:
     return float(np.linalg.norm(full - d))
 
 
+def oracle_residual(d: np.ndarray, d_star: np.ndarray) -> float:
+    """Squared distance ||d - d_star||_2^2 of the state from the reference."""
+    d = np.asarray(d, dtype=float)
+    d_star = np.asarray(d_star, dtype=float)
+    if d.shape != d_star.shape:
+        raise ValueError(f"shape mismatch: {d.shape} vs {d_star.shape}")
+    return float(np.sum((d - d_star) ** 2))
+
+
+def _check_limits(tol: float, max_iters: int) -> None:
+    """ValueError unless tol is positive and finite and max_iters nonnegative."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+
+
+def _vector(system: System, name: str, v) -> np.ndarray:
+    """A float copy of the state-shaped argument `name`; ValueError unless (N,)."""
+    v = np.array(v, dtype=float)
+    if v.shape != (system.dim,):
+        raise ValueError(f"{name} must have shape ({system.dim},), got {v.shape}")
+    return v
+
+
 def _norm(x: np.ndarray) -> float:
     """||x||, rescaled by max|x| where the plain norm overflows on finite x."""
     n = math.sqrt(x.dot(x))  # np.linalg.norm's formula for contiguous x, minus its dispatch
@@ -271,15 +293,17 @@ def run(
     `objective` (a callable on the primal mix (c + d)/2) adds objective
     values.  Runs are deterministic functions of (system, bank.seed).
     Raises `DivergedError`, carrying the trace so far, when the state
-    becomes non-finite.
+    becomes non-finite; ValueError for a tol that is not positive and
+    finite, a negative max_iters, or a d0 or d_star not of shape (N,).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_limits(tol, max_iters)
+    d = np.zeros(system.dim) if d0 is None else _vector(system, "d0", d0)
+    if d_star is not None:
+        d_star = _vector(system, "d_star", d_star)
     if bank is None:
         bank = DelayBank()
     bank.reset()
     p_eff = bank.effective_p
-    d = np.zeros(system.dim) if d0 is None else np.array(d0, dtype=float)
     draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
     resids, oresids, objs, states = [], [], [], []
     c = None
@@ -292,7 +316,7 @@ def run(
 
     def observe(d):
         if d_star is not None:
-            oresids.append(float(np.sum((d - d_star) ** 2)))
+            oresids.append(oracle_residual(d, d_star))
         if objective is not None:
             objs.append(float(objective(system.primal_mix(d, c))))
         if record_states:
@@ -331,13 +355,14 @@ def run_ensemble(
     seeds[i])`, so row i reproduces that bank's `run` exactly.  Returns
     (residuals, final_states): residuals has one row per seed and one
     column per iteration (gamma-scaled full-update residual).  Raises
-    ValueError for no seeds or tol <= 0, `DivergedError` on a non-finite state.
+    ValueError for no seeds and as `run` does for tol, max_iters and d0,
+    `DivergedError` on a non-finite state.
     """
     banks = [DelayBank("asynchronous", p, s) for s in seeds]
     if not banks:
         raise ValueError("need at least one seed")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_limits(tol, max_iters)
+    d0 = np.zeros(system.dim) if d0 is None else _vector(system, "d0", d0)
     # every replica's uniforms in one (R, N) buffer, row i from bank i's stream
     for bank in banks:
         bank.reset()
@@ -349,10 +374,9 @@ def run_ensemble(
             random(out=u)
         return U < p
 
-    d0 = np.zeros(system.dim) if d0 is None else np.asarray(d0, float)
     resids = []
     D, _, _ = _iterate(system.candidate, np.tile(d0, (len(banks), 1)), tol, max_iters, resids, draw)
-    return np.asarray(resids).T, D
+    return np.reshape(resids, (-1, len(banks))).T, D
 
 
 def run_error_system(
@@ -369,13 +393,17 @@ def run_error_system(
     With matched triggers, d_star + e[n] reproduces the original system's
     trajectory started from d_star + e0 (superposition of the fixed-point
     and error systems).  Raises `DivergedError` when the error becomes
-    non-finite.
+    non-finite; ValueError for negative iters or a d_star or e0 not of
+    shape (N,).
     """
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
+    d_star = _vector(system, "d_star", d_star)
+    e0 = _vector(system, "e0", e0)
     if bank is None:
         bank = DelayBank()
     bank.reset()
     draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
-    d_star = np.asarray(d_star, dtype=float)
     c_star = system.apply_elements(d_star)
 
     def step(e):
@@ -383,6 +411,6 @@ def run_error_system(
         return (1.0 - system.gamma) * e + system.gamma * system.interconnection.linear(c_err)
 
     out = []
-    e, _, _ = _iterate(step, np.array(e0, dtype=float), None, iters, [], draw, out.append)
+    e, _, _ = _iterate(step, e0, None, iters, [], draw, out.append)
     out.append(e)
     return np.asarray(out)

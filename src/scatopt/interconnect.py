@@ -95,6 +95,16 @@ SPARSE_DENSITY = 1 / 8
 DENSE_MAX_DIM = 512
 
 
+def _reflection(L, R, sign: float) -> np.ndarray:
+    """The dense N x N matrix sign (I - 2 L R), L and R dense or CSR."""
+    G = L @ R
+    if not isinstance(G, np.ndarray):
+        G = G.toarray()
+    G *= -2.0 * sign
+    G[np.diag_indices(G.shape[0])] += sign
+    return G
+
+
 def _csr_if_sparse(M: np.ndarray):
     """M as a CSR array when at most `SPARSE_DENSITY` of it is nonzero, else None."""
     if np.count_nonzero(M) > SPARSE_DENSITY * M.size:
@@ -187,19 +197,12 @@ class FactoredReflection(AffineInterconnection):
                 if sparse is not None:
                     object.__setattr__(self, name, sparse)
 
-    def _dense(self) -> np.ndarray:
-        G = self.L @ self.R
-        if not isinstance(G, np.ndarray):
-            G = G.toarray()
-        G *= -2.0 * self.sign
-        G[np.diag_indices(self.dim)] += self.sign
-        return G
-
     # An accessor, not a stored field: every read of G forms the N x N
     # array anew and keeps nothing.  This relies on `@dataclass` leaving
     # an init=False field's default, here the property, as the class
     # attribute, and on no method of this class assigning G.
-    G: np.ndarray = field(init=False, repr=False, compare=False, default=property(_dense))
+    G: np.ndarray = field(init=False, repr=False, compare=False,
+                          default=property(lambda self: _reflection(self.L, self.R, self.sign)))
 
     def _product(self, c: np.ndarray) -> np.ndarray:
         return self.sign * (c - 2.0 * (self.L @ (self.R @ c.T)).T)
@@ -336,6 +339,4 @@ def from_constraints(
     s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
     if n > DENSE_MAX_DIM:
         return FactoredReflection(s=s, L=L, R=R, sign=sign)
-    G = -2.0 * sign * L @ R
-    G[np.diag_indices(n)] += sign
-    return AffineInterconnection(G=G, s=s)
+    return AffineInterconnection(G=_reflection(L, R, sign), s=s)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import _deviation_ratios, _deviations
-from .engine import DelayBank, RunTrace, System, fixed_point_residual, run, run_error_system
+from .engine import (DelayBank, RunTrace, System, fixed_point_residual, oracle_residual, run,
+                     run_error_system)
 
 __all__ = [
     "oracle_residual",
@@ -27,15 +28,6 @@ __all__ = [
     "trace_stats",
     "superposition_gap",
 ]
-
-
-def oracle_residual(d: np.ndarray, d_star: np.ndarray) -> float:
-    """Squared distance ||d - d_star||_2^2 of the state from the reference."""
-    d = np.asarray(d, dtype=float)
-    d_star = np.asarray(d_star, dtype=float)
-    if d.shape != d_star.shape:
-        raise ValueError(f"shape mismatch: {d.shape} vs {d_star.shape}")
-    return float(np.sum((d - d_star) ** 2))
 
 
 def reference_fixed_point(

@@ -307,14 +307,14 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
 
     ic = from_constraints(A, free, resid, offset=offset)
     ic = _shift_linear_cost(ic, [dp, ds])
+    free_rel, epigraph, pair = Quadratic(0.0), LinfEpigraph(), PairCoupling(coupling_weight)
     elements = [
-        Element(Quadratic(0.0), Block(0, K)),
-        Element(Quadratic(0.0), Block(K, K)),
-        Element(LinfEpigraph(), Block(2 * K, n_pass + 1)),
-        Element(LinfEpigraph(), Block(dp + 1, n_stop + 1)),
+        Element(free_rel, Block(0, K)),
+        Element(free_rel, Block(K, K)),
+        Element(epigraph, Block(2 * K, n_pass + 1)),
+        Element(epigraph, Block(dp + 1, n_stop + 1)),
     ]
-    for i in range(n_pairs):
-        elements.append(Element(PairCoupling(coupling_weight), Block(pair_base + 2 * i, 2)))
+    elements += [Element(pair, Block(pair_base + 2 * i, 2)) for i in range(n_pairs)]
     layout = {
         "coefficients_pass": slice(0, K),
         "coefficients_stop": slice(K, 2 * K),
@@ -327,7 +327,7 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
               "coupling_weight": coupling_weight}
     return BuiltProblem(
         name="minimax_fir_split",
-        system=System(ic, tuple(elements)),
+        system=System(ic, elements),
         instance=spec,
         layout=layout,
         extras=extras,
@@ -445,20 +445,15 @@ def build_svm_decentralized(inst: SvmInstance) -> BuiltProblem:
     A[rows + 1, cols[ij[:, 1]]] = 1.0
     ic = from_constraints(A, free, resid, offset=None)
 
+    # one relation object per parameter set, bound to every block it governs
+    ridge, free_rel = Quadratic(1.0 / n, 0.0), Quadratic(0.0)
+    hinge, pair = Hinge(inst.hinge_weight), PairCoupling(inst.coupling_weight)
     elements = []
     for i in range(n):
-        elements.append(Element(Quadratic(1.0 / n, 0.0), Block(agent_base[i], d_feat)))
-        elements.append(Element(Quadratic(0.0), Block(agent_base[i] + d_feat, 1)))
-        elements.append(Element(Hinge(inst.hinge_weight), Block(agent_base[i] + d_feat + 1, 1)))
-    for e in range(n_edge):
-        for k in range(d_feat + 1):
-            elements.append(
-                Element(
-                    PairCoupling(inst.coupling_weight),
-                    Block(pair_base + e * coords_per_edge + 2 * k, 2),
-                )
-            )
-    elements = tuple(elements)
+        elements.append(Element(ridge, Block(agent_base[i], d_feat)))
+        elements.append(Element(free_rel, Block(agent_base[i] + d_feat, 1)))
+        elements.append(Element(hinge, Block(agent_base[i] + d_feat + 1, 1)))
+    elements += [Element(pair, Block(pair_base + 2 * k, 2)) for k in range(n_edge * (d_feat + 1))]
     w_idx = np.stack([agent_base + k for k in range(d_feat)], axis=1)
     layout = {
         "weights": w_idx,

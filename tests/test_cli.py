@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from scatopt import oracles
+from scatopt import monitor, oracles
 from scatopt.cli import ConfigError, RunConfig, main
 
 
@@ -30,6 +30,10 @@ class TestRunConfig:
             RunConfig(gamma=2.0)
         with pytest.raises(ConfigError, match="tol"):
             RunConfig(tol=-1.0)
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            RunConfig(tol=float("inf"))
+        with pytest.raises(ConfigError, match="seed must be nonnegative"):
+            RunConfig(seed=-1)
 
     def test_delay_bank_modes(self):
         assert RunConfig(mode="sync").delay_bank().mode == "synchronous"
@@ -126,6 +130,17 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"mode": "async", "p": 0.0}))
         assert main(["run", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--tol", "inf"], "error: tol must be positive and finite, got inf"),
+        (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
+        (["--problem", "minimax_fir", "--mode", "async", "--seed", "-1"],
+         "error: seed must be nonnegative, got -1"),
+    ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed"])
+    def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestVerifyCommand:
     def test_lasso_huber_all_pass(self, tmp_path):
@@ -135,6 +150,13 @@ class TestVerifyCommand:
         assert code == 0
         report = read_json(tmp_path / "verify.json")
         assert report["passed"] is True
+        assert {k: sorted(report[k]) for k in (
+            "orthonormality", "interconnection_neutrality", "norm_reduction")} == {
+            "orthonormality": ["max_deviation", "passed"],
+            "interconnection_neutrality": ["max_deviation", "passed", "samples"],
+            "norm_reduction": ["informational", "max_ratio", "passed", "samples",
+                               "strict_reductions"],
+        }
         assert report["orthonormality"]["passed"] is True
         assert report["interconnection_neutrality"]["passed"] is True
         assert report["norm_reduction"]["informational"] is False
@@ -160,6 +182,17 @@ class TestVerifyCommand:
         report = read_json(out / "verify.json")
         assert report["passed"] is True
         assert all(type(v) is int for e in report["elements"] for v in e["block"])
+
+
+    def test_reference_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def stalled(system, tol, max_iters):
+            raise RuntimeError(f"reference run did not reach tolerance {tol}")
+
+        monkeypatch.setattr(monitor, "reference_fixed_point", stalled)
+        code = main(["verify", "--problem", "lasso_huber", "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: reference run did not reach tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
 
 class TestCompareCommand:

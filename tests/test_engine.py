@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scatopt import problems
-from scatopt.elements import Element, Quadratic, SoftThreshold, group_elements
+from scatopt.elements import Element, Hinge, Quadratic, SoftThreshold, group_elements
 from scatopt.engine import (
     DelayBank,
     DivergedError,
@@ -48,6 +48,13 @@ class TestSystemValidation:
             ])
         with pytest.raises(ValueError, match="exceeds"):
             System(ic, [Element(Quadratic(1.0), Block(0, 4))])
+        # an overlap inside one gathered group, whose index lists coordinate 1 twice
+        with pytest.raises(ValueError, match="overlap at coordinate 1"):
+            System(AffineInterconnection(np.eye(4), np.zeros(4)), [
+                Element(Quadratic(1.0), Block(0, 2)),
+                Element(Quadratic(1.0), Block(1, 2)),
+                Element(Hinge(1.0), Block(3, 1)),
+            ])
 
     def test_gamma_range(self):
         ic = AffineInterconnection(np.eye(1), np.zeros(1))
@@ -148,6 +155,8 @@ class TestDelayBank:
             DelayBank(mode="lazy")
         with pytest.raises(ValueError, match="probability"):
             DelayBank(mode="asynchronous", p=0.0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            DelayBank(mode="asynchronous", p=0.5, seed=-1)
 
     def test_effective_p(self):
         assert DelayBank().effective_p == 1.0
@@ -250,8 +259,19 @@ class TestRun:
         assert result.state.d[0] < 1e-7
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            run(single_quadratic_system(), tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                run(single_quadratic_system(), tol=tol)
+
+    def test_rejects_negative_budget_and_misshapen_vectors(self):
+        system, *_ = least_squares_system()
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            run(system, max_iters=-5)
+        with pytest.raises(ValueError, match=r"d0 must have shape \(10,\)"):
+            run(system, d0=np.zeros(5))
+        # d_star = 0 of length 1 would broadcast and record ||d||^2
+        with pytest.raises(ValueError, match=r"d_star must have shape \(10,\)"):
+            run(system, d_star=np.zeros(1))
 
 
 class TestReadout:
@@ -304,6 +324,18 @@ class TestRunEnsemble:
             with pytest.raises(ValueError, match="tolerance"):
                 run_ensemble(system, [0], tol=tol)
 
+    def test_rejects_infinite_tol_negative_budget_and_misshapen_start(self):
+        system, *_ = least_squares_system()
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                run_ensemble(system, [0], tol=tol)
+        with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+            run_ensemble(system, [0, 1], max_iters=-3)
+        with pytest.raises(ValueError, match=r"d0 must have shape \(10,\)"):
+            run_ensemble(system, [0], d0=np.zeros(5))
+        res, final = run_ensemble(system, [0, 1, 2], max_iters=0)
+        assert res.shape == (3, 0) and final.shape == (3, system.dim)
+
     def test_all_rows_converge(self):
         system, *_ = least_squares_system()
         res, final = run_ensemble(system, range(5), p=0.1, tol=1e-6, max_iters=200000)
@@ -329,6 +361,16 @@ class TestErrorSystem:
         d_star = run(system, tol=1e-13, max_iters=200000).state.d
         err = run_error_system(system, d_star, np.zeros(system.dim), iters=20)
         assert np.abs(err).max() < 1e-10
+
+    def test_rejects_negative_budget_and_misshapen_vectors(self):
+        system, *_ = least_squares_system()
+        zero = np.zeros(system.dim)
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            run_error_system(system, zero, zero, iters=-2)
+        with pytest.raises(ValueError, match=r"e0 must have shape \(10,\)"):
+            run_error_system(system, zero, np.zeros(3), iters=2)
+        with pytest.raises(ValueError, match=r"d_star must have shape \(10,\)"):
+            run_error_system(system, np.zeros(3), zero, iters=2)
 
 
 class TestFixedPointResidual:

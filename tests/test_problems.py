@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,38 @@ class TestBuilderInvariants:
         z = system.primal_mix(D[0])  # the prox, so inside every indicator's set
         want = sum(el.relation.cost(z[el.block.slice]) for el in system.elements)
         assert system.cost(z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "name, params", [(name, {}) for name in problems.PROBLEM_NAMES]
+        + [("svm_consensus", {"n_agents": 100})],
+        ids=list(problems.PROBLEM_NAMES) + ["svm_100_agents"],
+    )
+    def test_bank_matches_one_relation_copy_per_block(self, name, params):
+        # builders share one relation object among the blocks it governs;
+        # the bank is the one a fresh copy per block would give
+        inst = problems.default_instance(name, seed=0, params=params)
+        elements = problems.build(name, inst).system.elements
+        copies = [Element(replace(el.relation), el.block) for el in elements]
+        assert len({id(el.relation) for el in copies}) == len(copies)
+        for (idx, shape, rel), (ref_idx, ref_shape, ref_rel) in zip(
+                group_elements(elements), group_elements(copies), strict=True):
+            if isinstance(ref_idx, slice):
+                assert idx == ref_idx
+            else:
+                assert np.array_equal(idx, ref_idx)
+            assert shape == ref_shape and type(rel) is type(ref_rel)
+            for key, value in vars(ref_rel).items():
+                assert np.array_equal(vars(rel)[key], value), (name, key)
+
+    def test_builders_share_relation_objects(self):
+        def relations(name):
+            built = problems.build(name, problems.default_instance(name, seed=0))
+            return [el.relation for el in built.system.elements]
+
+        svm = relations("svm_consensus")
+        assert len(svm) == 270 and len({id(rel) for rel in svm}) == 4
+        pairs = [rel for rel in relations("minimax_fir_split") if isinstance(rel, PairCoupling)]
+        assert len(pairs) == 9 and len({id(rel) for rel in pairs}) == 1
 
     def test_contiguous_groups_are_views(self):
         # groups whose coordinates form one run are read through a slice
