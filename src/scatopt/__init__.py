@@ -39,6 +39,6 @@ from .interconnect import (
     check_orthonormal,
     from_constraints,
 )
-from .pairs import Block, DecisionPair, PairTransform, TransformedPair, canonical_transform
+from .pairs import Block, PairTransform, canonical_transform
 
 __version__ = "0.1.0"

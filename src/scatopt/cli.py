@@ -68,6 +68,10 @@ class RunConfig:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
+        out = Path(self.out)
+        blocked = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+        if blocked is not None:
+            raise ConfigError(f"out must name a directory, but {blocked} is not one")
 
     def delay_bank(self) -> DelayBank:
         mode = "asynchronous" if self.mode == "async" else "synchronous"
@@ -90,7 +94,11 @@ def _load_config(args) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"config file could not be read: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):

@@ -37,10 +37,11 @@ __all__ = [
 
 
 def _check(value, name: str, strict: bool = False) -> None:
-    """Reject a negative parameter (a zero one too when `strict`) or a NaN."""
+    """Reject a negative parameter (a zero one too when `strict`), a NaN or an infinity."""
     v = np.asarray(value)
-    if not np.all(v > 0 if strict else v >= 0):
-        raise ValueError(f"{name} must be {'positive' if strict else 'nonnegative'}, got {value}")
+    if not np.all((v > 0 if strict else v >= 0) & np.isfinite(v)):
+        kind = "positive" if strict else "nonnegative"
+        raise ValueError(f"{name} must be {kind} and finite, got {value}")
 
 
 def _total(weight, values) -> float:

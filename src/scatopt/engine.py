@@ -126,14 +126,12 @@ class DelayBank:
     """Sample-and-hold registers between the elements and interconnection.
 
     In asynchronous mode each coordinate register adopts its input with
-    probability p per iteration (independent Bernoulli triggers); with
-    per_block=True a single trigger is drawn per element block instead.
+    probability p per iteration (independent Bernoulli triggers).
     """
 
     mode: str = "synchronous"
     p: float = 1.0
     seed: int = 0
-    per_block: bool = False
 
     def __post_init__(self):
         if self.mode not in ("synchronous", "asynchronous"):
@@ -142,7 +140,7 @@ class DelayBank:
             raise ValueError(f"sampling probability must lie in (0, 1], got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        self._rng = None
+        self.reset()
 
     @property
     def effective_p(self) -> float:
@@ -154,13 +152,6 @@ class DelayBank:
     def triggers(self, system: System) -> np.ndarray:
         if self.mode == "synchronous":
             return np.ones(system.dim, dtype=bool)
-        if self._rng is None:
-            self.reset()
-        if self.per_block:
-            mask = np.empty(system.dim, dtype=bool)
-            for el in system.elements:
-                mask[el.block.slice] = self._rng.random() < self.p
-            return mask
         return self._rng.random(system.dim) < self.p
 
 

@@ -1,41 +1,19 @@
-"""Variable-pair bookkeeping: 2x2 transforms between decision pairs and
-iteration pairs, plus block indexing into stacked system vectors.
+"""Variable-pair readout and block indexing into stacked system vectors.
 
 Every system coordinate carries a pair (a, b) of primal/dual decision
 variables, iterated on as a transformed pair (c, d).  The canonical
 transform is the orthonormal, self-inverse mixing matrix
-(1/sqrt(2)) [[1, 1], [1, -1]].
+(1/sqrt(2)) [[1, 1], [1, -1]]; the readout applies its inverse.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "DecisionPair",
-    "TransformedPair",
-    "PairTransform",
-    "canonical_transform",
-    "Block",
-]
-
-
-class DecisionPair(NamedTuple):
-    """Primal/dual decision variable pair."""
-
-    a: float
-    b: float
-
-
-class TransformedPair(NamedTuple):
-    """Mixed pair the iteration actually operates on."""
-
-    c: float
-    d: float
+__all__ = ["PairTransform", "canonical_transform", "Block"]
 
 
 @dataclass(frozen=True)
@@ -54,25 +32,6 @@ class PairTransform:
     @property
     def det(self) -> float:
         return self.m11 * self.m22 - self.m12 * self.m21
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]])
-
-    def is_orthonormal(self, tol: float = 1e-12) -> bool:
-        M = self.as_matrix()
-        return bool(np.abs(M.T @ M - np.eye(2)).max() <= tol)
-
-    def apply(self, pair: DecisionPair) -> TransformedPair:
-        return TransformedPair(*self.apply_many(pair.a, pair.b))
-
-    def invert(self, tp: TransformedPair) -> DecisionPair:
-        return DecisionPair(*self.invert_many(tp.c, tp.d))
-
-    def apply_many(self, a, b):
-        """Vectorized forward transform on stacked coordinates."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.m11 * a + self.m12 * b, self.m21 * a + self.m22 * b
 
     def invert_many(self, c, d):
         """Vectorized inverse transform on stacked coordinates."""

@@ -339,10 +339,9 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
 # Decentralized SVM
 
 
-def make_regular_graph(n: int = 30, degree: int = 4, seed: int = 0) -> np.ndarray:
+def make_regular_graph(n: int = 30, degree: int = 4) -> np.ndarray:
     """Connected degree-regular adjacency matrix (circulant, offsets
-    1..degree/2).  Deterministic; `seed` is accepted for interface
-    uniformity."""
+    1..degree/2).  Deterministic."""
     if degree % 2 != 0 or degree <= 0:
         raise ValueError(f"circulant construction needs a positive even degree, got {degree}")
     if (n * degree) % 2 != 0 or n <= degree:
@@ -511,6 +510,8 @@ class EqualizerInstance:
 
     def __post_init__(self):
         self.channel = np.atleast_1d(np.asarray(self.channel, dtype=float))
+        if self.channel.size == 0:
+            raise ValueError("channel must have at least one tap")
         m = self.channel.size + self.num_taps - 1
         if not 0 <= self.target_delay < m:
             raise ValueError(f"target delay {self.target_delay} outside output range")
@@ -538,7 +539,7 @@ class EqualizerInstance:
         rng = np.random.default_rng(seed)
         decay = 0.7 ** np.arange(length)
         channel = decay * (1.0 + 0.3 * rng.normal(size=length))
-        channel[0] = 1.0
+        channel[:1] = 1.0  # a slice, so that an empty channel reaches the check
         return cls(channel=channel, num_taps=num_taps, **kw)
 
 

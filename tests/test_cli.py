@@ -117,6 +117,16 @@ class TestRunCommand:
         # an instance parameter that neither the instance nor the builder takes
         cfg_path.write_text(json.dumps({"instance": {"coupling_weight": 5.0}}))
         assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path)]) == 1
+        # an infinite relation parameter (JSON `Infinity`) fails before the solve
+        for name, params in (("svm_consensus", {"coupling_weight": float("inf")}),
+                             ("lasso_huber", {"residual_weight": float("inf")})):
+            cfg_path.write_text(json.dumps({"instance": params}))
+            capsys.readouterr()
+            assert main(["run", "--problem", name, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "inf")]) == 1
+            assert capsys.readouterr().err == ("error: invalid instance parameters: "
+                                               "weight must be nonnegative and finite, got inf\n")
+            assert not (tmp_path / "inf").exists()
         # values of the wrong JSON type
         for bad in ({"max_iters": 1000.5}, {"p": "0.1"}, {"tol": None},
                     {"instance": [1, 2]}, {"seed": 1.5}, {"gamma": True}):
@@ -135,11 +145,38 @@ class TestRunCommand:
         (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
         (["--problem", "minimax_fir", "--mode", "async", "--seed", "-1"],
          "error: seed must be nonnegative, got -1"),
-    ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed"])
+        (["--out", "{tmp}/file.txt"],
+         "error: out must name a directory, but {tmp}/file.txt is not one"),
+        (["--out", "{tmp}/file.txt/sub"],
+         "error: out must name a directory, but {tmp}/file.txt is not one"),
+        (["--config", "{tmp}/cfgdir"],
+         "error: config file could not be read: [Errno 21] Is a directory: '{tmp}/cfgdir'"),
+        (["--config", "{tmp}/latin1.json"],
+         "error: config file is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
+         "in position 9: invalid continuation byte"),
+    ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed", "out_is_file",
+            "out_below_file", "config_is_directory", "config_not_utf8"])
     def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
-        assert main(["run", *argv, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == message + "\n"
+        (tmp_path / "file.txt").write_text("")
+        (tmp_path / "cfgdir").mkdir()
+        (tmp_path / "latin1.json").write_bytes(b'{"tol": "\xe9"}')
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path)]
+        assert main(["run", *argv]) == 1
+        assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify", "compare"])
+    def test_out_file_rejected_before_solve(self, tmp_path, capsys, monkeypatch, command):
+        def no_build(cfg):
+            raise AssertionError("solve started")
+
+        monkeypatch.setattr(RunConfig, "built_problem", no_build)
+        (tmp_path / "file.txt").write_text("kept")
+        assert main([command, "--out", str(tmp_path / "file.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: out must name a directory")
+        assert (tmp_path / "file.txt").read_text() == "kept"
 
 
 class TestVerifyCommand:

@@ -405,6 +405,7 @@ CONVEX_RELATIONS = [
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("make", [
@@ -417,10 +418,22 @@ NAN = float("nan")
     lambda: OneSidedPenalty(NAN, bound=0.0),
     lambda: CappedL1(NAN, 1.0),
     lambda: CappedL1(1.0, np.array([1.0, NAN])),
+    lambda: Quadratic(INF),
+    lambda: HuberL1(INF, 1.0),
+    lambda: HuberL1(1.0, INF),
+    lambda: SoftThreshold(np.array([1.0, INF])),
+    lambda: Hinge(INF),
+    lambda: PairCoupling(INF),
+    lambda: OneSidedPenalty(INF, bound=0.0),
+    lambda: CappedL1(INF, 1.0),
+    lambda: CappedL1(1.0, np.array([1.0, INF])),
 ], ids=["quadratic", "huber-weight", "huber-halfwidth", "soft-threshold", "hinge",
-        "pair-coupling", "one-sided", "capped-height", "capped-notch"])
+        "pair-coupling", "one-sided", "capped-height", "capped-notch",
+        "quadratic-inf", "huber-weight-inf", "huber-halfwidth-inf", "soft-threshold-inf",
+        "hinge-inf", "pair-coupling-inf", "one-sided-inf", "capped-height-inf",
+        "capped-notch-inf"])
 def test_nan_parameters_rejected(make):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite"):
         make()
 
 

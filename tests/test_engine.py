@@ -135,19 +135,6 @@ class TestStepAsync:
             result = run(system, bank, d0=np.array([0.0, 5.0]), max_iters=1)
             assert result.state.d[0] == 0.0
 
-    def test_per_block_triggers_are_blockwise(self):
-        system, *_ = least_squares_system()
-        d0 = np.random.default_rng(0).normal(size=system.dim)
-        outcomes = set()
-        for seed in range(10):
-            bank = DelayBank(mode="asynchronous", p=0.5, seed=seed, per_block=True)
-            moved = run(system, bank, d0=d0, max_iters=1).state.d != d0
-            for el in system.elements:
-                seg = moved[el.block.slice]
-                assert seg.all() or not seg.any()
-                outcomes.add(bool(seg.all()))
-        assert outcomes == {True, False}
-
 
 class TestDelayBank:
     def test_validation(self):

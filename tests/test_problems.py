@@ -537,6 +537,12 @@ class TestSparseEqualizer:
                 upper_env=-np.ones(3), lower_env=np.ones(3),
             )
 
+    def test_empty_channel_rejected(self):
+        with pytest.raises(ValueError, match="at least one tap"):
+            EqualizerInstance(channel=[])
+        with pytest.raises(ValueError, match="at least one tap"):
+            problems.default_instance("sparse_equalizer", params={"length": 0})
+
 
 class TestOracles:
     def test_lasso_zero_weight_is_normal_equations(self):
