@@ -2,7 +2,7 @@
 
 A `System` couples a bank of constitutive relations to an orthonormal
 interconnection.  Iteration replaces d with an averaged update
-    d <- (1 - gamma) d + gamma (G m(d) + s),
+    d <- (1 - gamma) d + gamma (G m(d) + s - G g - g), g a linear cost,
 either synchronously or through per-coordinate Bernoulli sample-and-hold
 registers, until the self-residual vanishes.  At a fixed point the
 primal/dual decision pairs are read out by inverting the pair transform.
@@ -11,7 +11,7 @@ primal/dual decision pairs are read out by inverting the pair transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -45,16 +45,26 @@ class DivergedError(RuntimeError):
 
 
 class System:
-    """An interconnection, its elements, and averaging."""
+    """An interconnection, its elements, averaging and a linear cost g (N,)
+    or None.  The loop applies `loop_map`, c -> G c + s - G g - g, which runs
+    the elements as if they carried the cost g . z of the primal mix z;
+    `interconnection` stays the reflection across the constraint set."""
 
     def __init__(
         self,
         interconnection: AffineInterconnection,
         elements,
         gamma: float = 0.5,
+        linear_cost=None,
     ):
         self.gamma = gamma
-        self.interconnection = interconnection
+        self.interconnection = ic = interconnection
+        self.linear_cost, self.loop_map = None, ic
+        if linear_cost is not None:
+            g = _vector(self, "linear_cost", linear_cost)
+            if not np.isfinite(g).all():
+                raise ValueError("linear_cost contains non-finite entries")
+            self.linear_cost, self.loop_map = g, replace(ic, s=ic.s - ic.linear(g) - g)
         self.elements = tuple(elements)
         self._bank = group_elements(self.elements)
         # the blocks must partition 0..N-1: count each coordinate's owners
@@ -108,7 +118,7 @@ class System:
         m(d) when it is already computed."""
         if c is None:
             c = self.apply_elements(d)
-        full = self.interconnection.apply(c)
+        full = self.loop_map.apply(c)
         full *= self.gamma
         full += (1.0 - self.gamma) * d
         return full
@@ -196,7 +206,7 @@ def readout(system: System, d: np.ndarray):
 
 def fixed_point_residual(system: System, d: np.ndarray) -> float:
     """Distance of one full synchronous update from d (gamma-independent)."""
-    full = system.interconnection.apply(system.apply_elements(d))
+    full = system.loop_map.apply(system.apply_elements(d))
     return float(np.linalg.norm(full - d))
 
 

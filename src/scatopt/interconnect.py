@@ -329,12 +329,8 @@ def from_constraints(
         C[:, resid_idx] = -np.eye(m)
         L, gram, sign = C.T, np.eye(m) + A @ A.T, 1.0
     # G = sign (I - 2 L R) and s = z0 - G z0, z0 being a point of the set
-    if n > DENSE_MAX_DIM:
-        R = np.linalg.solve(gram, L.T)
-        x = R @ z0
-    else:
-        X = np.linalg.solve(gram, np.column_stack([L.T, L.T @ z0]))
-        R, x = X[:, :n], X[:, n]
+    X = np.linalg.solve(gram, np.column_stack([L.T, L.T @ z0]))
+    R, x = X[:, :n], X[:, n]
     u = L @ x
     s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
     if n > DENSE_MAX_DIM:

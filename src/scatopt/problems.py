@@ -11,7 +11,7 @@ through the interconnection so element blocks stay disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,8 +26,9 @@ from .elements import (
     PairCoupling,
     Quadratic,
     SoftThreshold,
+    _check,
 )
-from .interconnect import AffineInterconnection, from_constraints
+from .interconnect import from_constraints
 from .pairs import Block
 from .engine import System
 
@@ -181,6 +182,8 @@ class FirSpec:
             )
         if self.grid_size < 2:
             raise ValueError("grid must have at least two points")
+        _check(self.passband_weight, "passband_weight")
+        _check(self.stopband_weight, "stopband_weight")
 
     @property
     def half_taps(self) -> int:
@@ -216,18 +219,6 @@ def cosine_coefficients_to_taps(coeffs: np.ndarray) -> np.ndarray:
     return taps
 
 
-def _shift_linear_cost(ic: AffineInterconnection, cost_idx) -> AffineInterconnection:
-    """Fold a unit linear cost on the given coordinates into the offset.
-
-    Running the pure-projection element on the shifted coordinates is
-    equivalent to the element carrying the linear term; the primal mix
-    (c + d)/2 is unaffected by the shift.
-    """
-    g = np.zeros(ic.dim)
-    g[np.asarray(cost_idx)] = 1.0
-    return replace(ic, s=ic.s - ic.linear(g) - g)
-
-
 def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
     """Single-interconnection minimax design: grid errors and the ripple
     bound share one max-abs epigraph element."""
@@ -242,7 +233,8 @@ def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
     free = np.concatenate([np.arange(K), [delta_idx]])
     resid = np.arange(K, K + ng)
     ic = from_constraints(A, free, resid, offset=weights * desired)
-    ic = _shift_linear_cost(ic, [delta_idx])
+    bound_cost = np.zeros(N)
+    bound_cost[delta_idx] = 1.0  # minimize the ripple bound
     elements = (
         Element(Quadratic(0.0), Block(0, K)),
         Element(LinfEpigraph(), Block(K, ng + 1)),
@@ -256,7 +248,7 @@ def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
               "n_pass": n_pass}
     return BuiltProblem(
         name="minimax_fir",
-        system=System(ic, elements),
+        system=System(ic, elements, linear_cost=bound_cost),
         instance=spec,
         layout=layout,
         extras=extras,
@@ -306,7 +298,8 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
     offset = np.concatenate([wp * tp, ws_ * ts, np.zeros(2 * n_pairs)])
 
     ic = from_constraints(A, free, resid, offset=offset)
-    ic = _shift_linear_cost(ic, [dp, ds])
+    bound_cost = np.zeros(N)
+    bound_cost[[dp, ds]] = 1.0  # minimize both ripple bounds
     free_rel, epigraph, pair = Quadratic(0.0), LinfEpigraph(), PairCoupling(coupling_weight)
     elements = [
         Element(free_rel, Block(0, K)),
@@ -327,7 +320,7 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
               "coupling_weight": coupling_weight}
     return BuiltProblem(
         name="minimax_fir_split",
-        system=System(ic, elements),
+        system=System(ic, elements, linear_cost=bound_cost),
         instance=spec,
         layout=layout,
         extras=extras,

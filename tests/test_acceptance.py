@@ -206,10 +206,11 @@ def test_criterion_09_asynchronous_mode(announce, lasso_huber_built,
     ok = True
     details = {}
     for built in (lasso_huber_built, lasso_augmented_built, svm_built):
-        sync = run(built.system, DelayBank(), tol=1e-300,
-                   max_iters=30000 if built.name != "svm_consensus" else 60000)
-        sync_res = sync.trace.self_residual
         res, final = run_ensemble(built.system, seeds, p=p, tol=1e-6, max_iters=500000)
+        # the ratio reads sync entries up to index floor((K - 1) p) for K
+        # lockstep iterations; a budget of floor(K p) + 2 reaches every one
+        sync = run(built.system, DelayBank(), tol=1e-300, max_iters=int(res.shape[1] * p) + 2)
+        sync_res = sync.trace.self_residual
         norms = np.linalg.norm(final, axis=1)
         all_reached = bool(np.all(res[:, -1] <= 1e-6 * (1.0 + norms)))
         avg = res.mean(axis=0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,19 @@ class TestRunCommand:
             assert capsys.readouterr().err == ("error: invalid instance parameters: "
                                                "weight must be nonnegative and finite, got inf\n")
             assert not (tmp_path / "inf").exists()
+        # a FIR band weight is checked before the design grid multiplies by it
+        for band, value in (("stopband_weight", float("inf")), ("passband_weight", -1.0)):
+            cfg_path.write_text(json.dumps({"instance": {band: value}}))
+            capsys.readouterr()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "fir")]) == 1
+            assert not caught
+            assert capsys.readouterr().err == ("error: invalid instance parameters: "
+                                               f"{band} must be nonnegative and finite, "
+                                               f"got {value}\n")
+            assert not (tmp_path / "fir").exists()
         # values of the wrong JSON type
         for bad in ({"max_iters": 1000.5}, {"p": "0.1"}, {"tol": None},
                     {"instance": [1, 2]}, {"seed": 1.5}, {"gamma": True}):

@@ -64,6 +64,17 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="gamma"):
             System(ic, el, gamma=1.5)
 
+    @pytest.mark.parametrize("g, match", [
+        (np.ones(2), r"linear_cost must have shape \(3,\), got \(2,\)"),
+        (np.ones((1, 3)), r"linear_cost must have shape \(3,\), got \(1, 3\)"),
+        (np.array([0.0, np.inf, 0.0]), "linear_cost contains non-finite entries"),
+        (np.array([np.nan, 0.0, 0.0]), "linear_cost contains non-finite entries"),
+    ], ids=["short", "matrix", "inf", "nan"])
+    def test_linear_cost_checked(self, g, match):
+        ic = AffineInterconnection(np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match=match):
+            System(ic, [Element(Quadratic(1.0), Block(0, 3))], linear_cost=g)
+
     @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5, float("nan")])
     def test_gamma_checked_on_assignment(self, gamma):
         system = single_quadratic_system(gamma=0.5)
@@ -378,10 +389,13 @@ class TestFixedPointResidual:
 def gathered_step(system):
     """The plain kernel every faster form of the loop must reproduce bit
     for bit: a bank that gathers every group by index, m(d) = 2 prox(d) - d
-    and the update (1 - gamma) d + gamma (G m(d) + s).  Returns (step, m)."""
+    and the update (1 - gamma) d + gamma (G m(d) + s - G g - g), with the
+    linear cost g's term formed here from the reflection (G, s).  Returns
+    (step, m)."""
     every = np.arange(system.dim)
     bank = [(every[idx].reshape(shape), rel) for idx, shape, rel in group_elements(system.elements)]
-    ic, gamma = system.interconnection, system.gamma
+    ic, gamma, g = system.interconnection, system.gamma, system.linear_cost
+    s = ic.s if g is None else ic.s - ic.linear(g) - g
 
     def reflect(d):
         prox = np.empty_like(d)
@@ -389,7 +403,7 @@ def gathered_step(system):
             prox[..., idx] = rel.prox(d[..., idx])
         return 2.0 * prox - d
 
-    return (lambda d: (1.0 - gamma) * d + gamma * (ic.linear(reflect(d)) + ic.s)), reflect
+    return (lambda d: (1.0 - gamma) * d + gamma * (ic.linear(reflect(d)) + s)), reflect
 
 
 def plain_loop(step, d, tol, max_iters, draw=None):

@@ -1,11 +1,10 @@
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scatopt import interconnect
+from scatopt import interconnect, problems
 from scatopt.interconnect import (
     AffineInterconnection,
     FactoredReflection,
@@ -414,13 +413,13 @@ class TestFactoredReflection:
             FactoredReflection(np.zeros(4), L, R * np.inf, -1.0)
 
     def test_replace_offset_keeps_factors(self):
-        # problems._shift_linear_cost replaces the offset of a built map
-        rng = np.random.default_rng(65)
-        A = block_constraints(150, 3, 1, seed=66)
-        ic = from_constraints(A, np.arange(150), np.arange(150, 600))
-        s = rng.normal(size=ic.dim)
-        shifted = replace(ic, s=s)
-        assert type(shifted) is FactoredReflection
-        assert shifted.L is ic.L and shifted.R is ic.R and shifted.sign == ic.sign
-        c = rng.normal(size=ic.dim)
-        np.testing.assert_array_equal(shifted.apply(c), ic.linear(c) + s)
+        # a System with a linear cost replaces the offset of a built map for its loop
+        built = problems.build_minimax_fir(problems.FirSpec(grid_size=600))
+        system, ic = built.system, built.system.interconnection
+        assert ic.dim > interconnect.DENSE_MAX_DIM and type(ic) is FactoredReflection
+        loop, g = system.loop_map, system.linear_cost
+        assert type(loop) is FactoredReflection
+        assert loop.L is ic.L and loop.R is ic.R and loop.sign == ic.sign
+        np.testing.assert_array_equal(loop.s, ic.s - ic.linear(g) - g)
+        c = np.random.default_rng(65).normal(size=ic.dim)
+        np.testing.assert_array_equal(loop.apply(c), ic.linear(c) + loop.s)

@@ -59,12 +59,9 @@ def mixed_bank_system():
 
 def constraint_point(built, rng):
     """A random point on the builder's constraint set, written from the
-    instance data, and the displacement ic.apply gives it: zero, or minus
-    twice the projection onto the constraint subspace of the unit linear
-    cost that the minimax builders fold into the offset."""
+    instance data."""
     inst, lay, ex = built.instance, built.layout, built.extras
     z = np.zeros(built.system.dim)
-    shift = np.zeros(built.system.dim)
     if built.name in ("lasso_huber", "lasso_augmented"):
         x = rng.normal(size=inst.A.shape[1])
         z[lay["coefficients"]] = x
@@ -74,7 +71,6 @@ def constraint_point(built, rng):
         z[lay["coefficients"]] = h
         z[lay["errors"]] = ex["weights"] * (ex["cosines"] @ h - ex["desired"])
         z[lay["bound"]] = rng.normal()
-        shift[lay["bound"]] = -2.0
     elif built.name == "minimax_fir_split":
         n_pass = ex["n_pass"]
         C = np.cos(np.outer(ex["omega"], np.arange(inst.half_taps)))
@@ -87,8 +83,6 @@ def constraint_point(built, rng):
         z[lay["bound_pass"]], z[lay["bound_stop"]] = bp, bs
         # coupling pairs (pass copy, stop copy) of each coefficient, then the bounds
         z[lay["bound_stop"] + 1 :] = np.column_stack([np.r_[hp, bp], np.r_[hs, bs]]).ravel()
-        # each bound and its coupling copy share the projected unit cost
-        shift[[lay["bound_pass"], lay["bound_stop"], -2, -1]] = -1.0
     elif built.name == "svm_consensus":
         w = rng.normal(size=lay["weights"].shape)
         b = rng.normal(size=inst.n_agents)
@@ -105,7 +99,7 @@ def constraint_point(built, rng):
         z[lay["output"]] = z[lay["output_mirror"]] = np.convolve(inst.channel, taps)
     else:
         raise AssertionError(f"no constraint point for {built.name}")
-    return z, shift
+    return z
 
 
 class TestBuilderInvariants:
@@ -115,8 +109,8 @@ class TestBuilderInvariants:
         ic = built.system.interconnection
         np.testing.assert_allclose(ic.G, ic.G.T, atol=1e-10)
         np.testing.assert_allclose(ic.G @ ic.G, np.eye(ic.dim), atol=1e-10)
-        z, shift = constraint_point(built, np.random.default_rng(3))
-        np.testing.assert_allclose(ic.apply(z), z + shift, atol=1e-10)
+        z = constraint_point(built, np.random.default_rng(3))
+        np.testing.assert_allclose(ic.apply(z), z, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "make, match",
@@ -386,6 +380,12 @@ class TestMinimaxFir:
             FirSpec(num_taps=8)
         with pytest.raises(ValueError, match="edge"):
             FirSpec(passband_edge=2.0, stopband_edge=1.0)
+
+    @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("band", ["passband_weight", "stopband_weight"])
+    def test_band_weight_validation(self, band, value):
+        with pytest.raises(ValueError, match=f"{band} must be nonnegative and finite"):
+            FirSpec(**{band: value})
 
 
 class TestMinimaxFirSplit:
