@@ -9,6 +9,7 @@ property the convergence certificates in `monitor` rely on.
 Every prox acts on the last axis of a stack `(..., L)`, with numeric
 parameters per coordinate or, for the `blockwise` relations, per block of
 a stack `(..., k, L)`; `group_elements` makes one call of it per group.
+`scale_field` names the parameter f is linear in (None for an indicator).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class Quadratic:
 
     weight: float
     target: float = 0.0
+    scale_field = "weight"
     dissipative = True
 
     def __post_init__(self):
@@ -85,6 +87,7 @@ class HuberL1:
 
     weight: float
     halfwidth: float
+    scale_field = "weight"
     dissipative = True
 
     def __post_init__(self):
@@ -110,6 +113,7 @@ class SoftThreshold:
     """Exact 1-norm, f(x) = weight |x|; prox is soft thresholding."""
 
     weight: float
+    scale_field = "weight"
     dissipative = True
 
     def __post_init__(self):
@@ -137,6 +141,7 @@ class LinfEpigraph:
     are exactly those above it.
     """
 
+    scale_field = None
     dissipative = True
     blockwise = True
 
@@ -166,6 +171,7 @@ class Hinge:
     """
 
     weight: float
+    scale_field = "weight"
     dissipative = True
 
     def __post_init__(self):
@@ -187,6 +193,7 @@ class PairCoupling:
     """
 
     weight: float
+    scale_field = "weight"
     dissipative = True
     blockwise = True
 
@@ -219,6 +226,7 @@ class OneSidedPenalty:
     weight: float
     bound: float | np.ndarray
     side: str = "upper"
+    scale_field = "weight"
     dissipative = True
 
     def __post_init__(self):
@@ -261,6 +269,7 @@ class CappedL1:
 
     height: float
     notch_width: float
+    scale_field = "height"
     dissipative = False
 
     def __post_init__(self):

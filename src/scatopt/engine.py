@@ -10,13 +10,14 @@ primal/dual decision pairs are read out by inverting the pair transform.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .elements import group_elements
+from .elements import Element, group_elements
 from .interconnect import AffineInterconnection
 from .pairs import canonical_transform
 
@@ -48,7 +49,8 @@ class System:
     """An interconnection, its elements, averaging and a linear cost g (N,)
     or None.  The loop applies `loop_map`, c -> G c + s - G g - g, which runs
     the elements as if they carried the cost g . z of the primal mix z;
-    `interconnection` stays the reflection across the constraint set."""
+    `interconnection` stays the reflection across the constraint set;
+    `alpha` is the cost scale (`scaled`), 1 as built."""
 
     def __init__(
         self,
@@ -57,14 +59,14 @@ class System:
         gamma: float = 0.5,
         linear_cost=None,
     ):
-        self.gamma = gamma
+        self.gamma, self.alpha = gamma, 1.0
         self.interconnection = ic = interconnection
         self.linear_cost, self.loop_map = None, ic
         if linear_cost is not None:
             g = _vector(self, "linear_cost", linear_cost)
             if not np.isfinite(g).all():
                 raise ValueError("linear_cost contains non-finite entries")
-            self.linear_cost, self.loop_map = g, replace(ic, s=ic.s - ic.linear(g) - g)
+            self._set_linear_cost(g)
         self.elements = tuple(elements)
         self._bank = group_elements(self.elements)
         # the blocks must partition 0..N-1: count each coordinate's owners
@@ -81,6 +83,31 @@ class System:
             raise ValueError(f"element blocks overlap at coordinate {int(np.argmax(owners > 1))}")
         if not owners.all():
             raise ValueError(f"coordinate {int(np.argmin(owners))} is not owned by any element")
+
+    def _set_linear_cost(self, g: np.ndarray) -> None:
+        ic = self.interconnection
+        self.linear_cost, self.loop_map = g, replace(ic, s=ic.s - ic.linear(g) - g)
+
+    def scaled(self, alpha: float) -> "System":
+        """This system with every cost term times alpha (each relation's
+        `scale_field`, once per distinct relation, and the linear cost):
+        the same primal solution, G and bank groups, and the dual half of d
+        times alpha.  ValueError unless alpha is positive and finite."""
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        # each distinct relation object once, by id: array-valued ones do not hash
+        rels = {id(el.relation): el.relation for el in self.elements}
+        rels.update((id(rel), rel) for _, _, rel in self._bank)
+        for key, rel in list(rels.items()):
+            if rel.scale_field is not None:
+                rels[key] = replace(rel, **{rel.scale_field: alpha * getattr(rel, rel.scale_field)})
+        out = copy.copy(self)
+        out.alpha = alpha * self.alpha
+        out.elements = tuple(Element(rels[id(el.relation)], el.block) for el in self.elements)
+        out._bank = [(idx, shape, rels[id(rel)]) for idx, shape, rel in self._bank]
+        if self.linear_cost is not None:
+            out._set_linear_cost(alpha * self.linear_cost)
+        return out
 
     @property
     def gamma(self) -> float:
@@ -109,9 +136,10 @@ class System:
         return out
 
     def cost(self, z: np.ndarray) -> float:
-        """Total cost of the elements at the primal mix z."""
+        """Total cost of the elements at the primal mix z, in the unscaled problem's units."""
         z = np.asarray(z, dtype=float)
-        return float(sum(rel.cost(z[idx].reshape(shape)) for idx, shape, rel in self._bank))
+        total = float(sum(rel.cost(z[idx].reshape(shape)) for idx, shape, rel in self._bank))
+        return total / self.alpha
 
     def candidate(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """One full (gamma-averaged) synchronous update from d; pass c =
@@ -199,9 +227,10 @@ class RunResult:
 
 def readout(system: System, d: np.ndarray):
     """Recover the primal/dual pairs (a_i, b_i) from the iteration state;
-    every relation reflects as 2 prox - d, which is the canonical pairing."""
-    c = system.apply_elements(d)
-    return canonical_transform().invert_many(c, d)
+    every relation reflects as 2 prox - d, which is the canonical pairing;
+    b is divided by alpha, so it is the unscaled problem's dual."""
+    a, b = canonical_transform().invert_many(system.apply_elements(d), d)
+    return a, b / system.alpha
 
 
 def fixed_point_residual(system: System, d: np.ndarray) -> float:

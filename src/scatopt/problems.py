@@ -643,12 +643,14 @@ def _compare_svm(built: BuiltProblem, d: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class Problem:
-    """A shipped problem: its default instance, builder and reference comparison."""
+    """A shipped problem: its default instance, builder, comparison and cost
+    scale alpha (1 for the lassos, which criterion 09 limits, and the nonconvex equalizer)."""
 
     instance: Callable  # (seed=..., **instance parameters) -> instance
     builder: Callable  # (instance, **builder parameters) -> BuiltProblem
     builder_params: tuple[str, ...] = ()
     compare: Callable | None = None  # (built, d) -> metrics; None: no reference
+    alpha: float = 1.0
 
 
 def _fir_spec(seed: int = 0, **params) -> FirSpec:
@@ -660,11 +662,11 @@ PROBLEMS = {
                            compare=_compare_lasso_huber),
     "lasso_augmented": Problem(LassoInstance.random, build_lasso_augmented,
                                compare=_compare_lasso_augmented),
-    "minimax_fir": Problem(_fir_spec, build_minimax_fir, compare=_compare_minimax_fir),
+    "minimax_fir": Problem(_fir_spec, build_minimax_fir, compare=_compare_minimax_fir, alpha=0.1),
     "minimax_fir_split": Problem(_fir_spec, build_minimax_fir_split, ("coupling_weight",),
-                                 _compare_minimax_fir_split),
+                                 _compare_minimax_fir_split, alpha=0.03),
     "svm_consensus": Problem(SvmInstance.separable_blobs, build_svm_decentralized,
-                             compare=_compare_svm),
+                             compare=_compare_svm, alpha=3.0),
     # nonconvex: no independent solver finds its global optimum
     "sparse_equalizer": Problem(EqualizerInstance.synthetic, build_sparse_equalizer),
 }
@@ -688,8 +690,10 @@ def default_instance(name: str, seed: int = 0, params: dict | None = None):
 
 
 def build(name: str, instance, params: dict | None = None) -> BuiltProblem:
-    """Build a named problem, passing on the keys of `params` its builder takes."""
+    """Build a named problem at its alpha, passing on the keys of `params` its builder takes."""
     problem = _problem(name)
     params = params or {}
     kwargs = {k: params[k] for k in problem.builder_params if k in params}
-    return problem.builder(instance, **kwargs)
+    built = problem.builder(instance, **kwargs)
+    built.system = built.system.scaled(problem.alpha)
+    return built

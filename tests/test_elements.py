@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import accumulate
 
@@ -512,3 +513,66 @@ class TestDissipativityProbe:
             for n in (0, -5):
                 with pytest.raises(ValueError, match="at least one sample"):
                     probe(n)
+
+
+RELATION_CLASSES = (Quadratic, HuberL1, SoftThreshold, LinfEpigraph, Hinge, PairCoupling,
+                    OneSidedPenalty, CappedL1)
+
+
+def scaled_relation(rel, length, alpha):
+    """The relation that `System.scaled(alpha)` binds in place of `rel`."""
+    system = System(AffineInterconnection(np.eye(length), np.zeros(length)),
+                    [Element(rel, Block(0, length))])
+    return system.scaled(alpha).elements[0].relation
+
+
+class TestCostScale:
+    """A scaled relation carries alpha f: its cost is alpha times the cost,
+    and its prox minimizes (1/2)(x - d)^2 + alpha f(x)."""
+
+    def test_every_relation_declares_its_scale_field(self):
+        for cls in RELATION_CLASSES:
+            if cls is LinfEpigraph:
+                assert cls.scale_field is None  # an indicator: alpha times it is itself
+            else:
+                assert cls.scale_field in {f.name for f in dataclasses.fields(cls)}, cls
+
+    @pytest.mark.parametrize("alpha", [0.3, 3.0])
+    def test_scalar_relations(self, alpha):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            rel = random_scalar_relation(rng)
+            scaled = scaled_relation(rel, 1, alpha)
+            d = rng.uniform(-4, 4, size=200)
+            assert scaled.cost(d) == pytest.approx(alpha * rel.cost(d), rel=1e-12, abs=1e-12)
+            x = scaled.prox(d)
+
+            def cost(v):
+                return alpha * elementwise_cost(rel, v)
+
+            if rel.dissipative:
+                # convex: d - x is a subgradient of alpha f at x
+                y = x + rng.normal(scale=2.0, size=(20, d.size))
+                assert np.all(cost(y) - cost(x) - (d - x) * (y - x) >= -1e-9), rel
+            else:
+                # nonconvex: x is no worse than any point of a fine grid
+                grid = np.linspace(-4.0, 4.0, 8001)[:, None]
+                best = (0.5 * (grid - d[:20]) ** 2 + cost(grid)).min(axis=0)
+                assert np.all(0.5 * (x[:20] - d[:20]) ** 2 + cost(x[:20]) <= best + 1e-12), rel
+
+    @pytest.mark.parametrize("alpha", [0.3, 3.0])
+    def test_blockwise_relations(self, alpha):
+        rng = np.random.default_rng(13)
+        rel = PairCoupling(rng.uniform(0.0, 5.0))
+        scaled = scaled_relation(rel, 2, alpha)
+        d = rng.normal(scale=3.0, size=(200, 2))
+        assert scaled.cost(d) == pytest.approx(alpha * rel.cost(d), rel=1e-12)
+        x = scaled.prox(d)
+
+        def cost(v):
+            return alpha * 0.5 * rel.weight * (v[..., 0] - v[..., 1]) ** 2
+
+        y = x + rng.normal(scale=2.0, size=(20, 200, 2))
+        assert np.all(cost(y) - cost(x) - np.sum((d - x) * (y - x), axis=-1) >= -1e-9)
+        epigraph = LinfEpigraph()
+        assert scaled_relation(epigraph, 4, alpha) is epigraph

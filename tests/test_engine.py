@@ -1,9 +1,10 @@
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
-from scatopt import problems
+from scatopt import engine, problems
 from scatopt.elements import Element, Hinge, Quadratic, SoftThreshold, group_elements
 from scatopt.engine import (
     DelayBank,
@@ -479,3 +480,45 @@ class TestReferenceKernel:
             lambda e: (1.0 - gamma) * e + gamma * ic.linear(reflect(d_star + e) - c_star),
             e0, None, self.CAP, partial(reset_banks([0])[0].triggers, system))
         assert np.array_equal(got, np.asarray(seen + [e]))
+
+
+class TestScaled:
+    """`System.scaled(alpha)`: alpha = 1 changes no bit of any run, and the
+    scaled system reuses the bank's groups and the interconnection."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_alpha(self, alpha):
+        system, *_ = least_squares_system()
+        with pytest.raises(ValueError, match="alpha"):
+            system.scaled(alpha)
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+    def test_unit_scale_reproduces_iterates(self, name, mode):
+        # the builder's own system, at alpha = 1 whatever the shipped default
+        system = problems.PROBLEMS[name].builder(problems.default_instance(name, seed=0)).system
+        results = []
+        for s in (system, system.scaled(1.0)):
+            bank = DelayBank() if mode == "sync" else DelayBank("asynchronous", 0.1, 0)
+            results.append(run(s, bank, tol=1e-4, max_iters=100, objective=s.cost))
+        ref, got = results
+        assert got.state.iter == ref.state.iter
+        for field in ("self_residual", "objective"):
+            assert np.array_equal(getattr(got.trace, field), getattr(ref.trace, field))
+        for field in ("a", "b", "z"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+        assert np.array_equal(got.state.d, ref.state.d)
+
+    def test_no_regrouping(self, monkeypatch):
+        # a rebuilt bank would put set-up time back: scaling regroups
+        # nothing and keeps every group's index object
+        system = problems.build_svm_decentralized(problems.SvmInstance.separable_blobs()).system
+        calls = []
+        monkeypatch.setattr(engine, "group_elements",
+                            lambda elements: calls.append(1) or group_elements(elements))
+        scaled = system.scaled(3.0)
+        assert calls == []
+        assert all(new is old for (new, _, _), (old, _, _) in zip(scaled._bank, system._bank,
+                                                                     strict=True))
+        assert scaled.interconnection is system.interconnection
+        assert len({id(el.relation) for el in scaled.elements}) == 4

@@ -190,7 +190,8 @@ class TestBuilderInvariants:
         for other in (np.asfortranarray(D), wide[:, ::2]):
             assert np.array_equal(system.apply_elements(other), got)
         z = system.primal_mix(D[0])  # the prox, so inside every indicator's set
-        want = sum(el.relation.cost(z[el.block.slice]) for el in system.elements)
+        # the elements carry alpha times the cost; `cost` reports it unscaled
+        want = sum(el.relation.cost(z[el.block.slice]) for el in system.elements) / system.alpha
         assert system.cost(z) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
@@ -574,6 +575,31 @@ class TestOracles:
         inst = LassoInstance.random(m=300, n=1500, seed=0, sparsity=10)
         sol = oracles.oracle_lasso_huber(inst)
         assert sol.extras["grad_norm"] <= 1e-6
+
+
+class TestCostScale:
+    """The cost scale alpha moves iterations, not fixed points."""
+
+    @pytest.mark.parametrize("name", [n for n in problems.PROBLEM_NAMES if n != "sparse_equalizer"])
+    def test_fixed_point_does_not_move(self, name):
+        system = problems.PROBLEMS[name].builder(problems.default_instance(name, seed=0)).system
+        ref = run(system, DelayBank(), tol=1e-10, max_iters=500000)
+        for alpha in (0.3, 3.0):
+            scaled = system.scaled(alpha)
+            got = run(scaled, DelayBank(), tol=1e-10, max_iters=500000)
+            assert got.converged and np.abs(got.z - ref.z).max() <= 1e-6, alpha
+            # the read-out dual is the unscaled problem's; minimax_fir's
+            # epigraph multipliers are not unique, so only its primal is
+            if name != "minimax_fir":
+                assert np.abs(got.b - ref.b).max() <= 1e-6, alpha
+            assert scaled.cost(ref.z) == pytest.approx(system.cost(ref.z), rel=1e-12)
+
+    def test_build_applies_the_problem_alpha(self):
+        alphas = {"svm_consensus": 3.0, "minimax_fir": 0.1, "minimax_fir_split": 0.03}
+        for name in problems.PROBLEM_NAMES:
+            inst = problems.default_instance(name, seed=0)
+            assert problems.build(name, inst).system.alpha == alphas.get(name, 1.0)
+            assert problems.PROBLEMS[name].builder(inst).system.alpha == 1.0
 
 
 class TestRegistry:
