@@ -19,7 +19,7 @@ from pathlib import Path
 from . import monitor, problems
 from .elements import dissipativity_probe
 from .engine import DelayBank, run
-from .interconnect import check_orthonormal
+from .interconnect import BlockReflection, check_orthonormal
 
 __all__ = ["main", "RunConfig"]
 
@@ -171,7 +171,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     except RuntimeError as exc:  # the reference run did not converge
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ortho = check_orthonormal(system.interconnection.G)
+    # a block form is checked block by block, never through its N x N G
+    ic = system.interconnection
+    stacks = ic.blocks if isinstance(ic, BlockReflection) else (ic.G,)
+    ortho = max((check_orthonormal(B) for B in stacks), key=lambda rep: rep.max_deviation)
     element_reports = []
     all_dissipative = all(el.dissipative for el in system.elements)
     required_ok = True
@@ -210,7 +213,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    # the oracles, and with them scipy.optimize, load only here
+    # the oracles load only here, and scipy.optimize only inside the two that use it
     from .oracles import OracleFailure
 
     compare = problems.PROBLEMS[cfg.problem].compare

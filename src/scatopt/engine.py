@@ -319,9 +319,11 @@ def run(
 ) -> RunResult:
     """Iterate until the self-residual ||d_next - d|| <= tol (1 + ||d||).
 
-    `d_star` adds oracle residuals ||d - d_star||^2 to the trace;
-    `objective` (a callable on the primal mix (c + d)/2) adds objective
-    values.  Runs are deterministic functions of (system, bank.seed).
+    tol bounds the last step, not the distance to the solution, which can
+    be far larger on a slowly contracting system.  `d_star` adds oracle
+    residuals ||d - d_star||^2 to the trace; `objective` (a callable on
+    the primal mix (c + d)/2) adds objective values.  Runs are
+    deterministic functions of (system, bank.seed).
     Raises `DivergedError`, carrying the trace so far, when the state
     becomes non-finite; ValueError for a tol that is not positive and
     finite, a negative max_iters, or a d0 or d_star not of shape (N,).

@@ -5,12 +5,18 @@ d = G c + s, where G is norm-preserving.  For a problem's linear
 constraints z[resid] = A z[free] - v, the map c -> G c + s is the
 reflection across that affine set, computed in closed form by
 `from_constraints` with one solve of the smaller Gram matrix, I + A A^T
-or I + A^T A.  Up to `DENSE_MAX_DIM` coordinates (every shipped default
-problem) G is formed and stored; a sparse G (the decentralized SVM's is
-block-diagonal) is applied through a CSR copy.  Above it the build stops
-at the Gram solve and keeps G = sign (I - 2 L R) as a `FactoredReflection`:
-the two thin factors take O(N k) memory and time per apply, k the smaller
-Gram size, where a dense G takes O(N^2).
+or I + A^T A.  The reflection is kept in one of three forms, chosen by
+the sizes of the constraint graph's connected components and by N:
+- a `BlockReflection` when the components' blocks hold at most
+  `BLOCK_SHARE` of G's entries (the decentralized SVM, one block per
+  agent): each block is built alone and a product is one batched matmul
+  per block size;
+- else a stored dense G up to `DENSE_MAX_DIM` coordinates (every other
+  shipped default problem);
+- else a `FactoredReflection` G = sign (I - 2 L R), the two thin factors
+  of the Gram solve taking O(N k) memory and time per apply, k the
+  smaller Gram size, where a dense G takes O(N^2).
+The block and factored forms form the dense G only when it is read.
 
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
 construction of the same map: a Cayley transform of a skew core, with
@@ -32,6 +38,7 @@ __all__ = [
     "check_orthonormal",
     "OrthonormalityReport",
     "AffineInterconnection",
+    "BlockReflection",
     "FactoredReflection",
     "SourceRelation",
     "absorb_sources",
@@ -66,22 +73,21 @@ class OrthonormalityReport:
 
 
 def check_orthonormal(G: np.ndarray, tol: float = 1e-10) -> OrthonormalityReport:
-    """Report the max-abs deviation of G^T G from the identity."""
+    """Report the max-abs deviation of G^T G from the identity, for one
+    square matrix or the worst of a stack (nb, k, k) of them."""
     G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {G.shape}")
-    dev = float(np.abs(G.T @ G - np.eye(G.shape[0])).max())
+    if G.ndim not in (2, 3) or G.shape[-1] != G.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {G.shape}")
+    dev = float(np.abs(np.swapaxes(G, -1, -2) @ G - np.eye(G.shape[-1])).max())
     return OrthonormalityReport(max_deviation=dev, passed=dev <= tol)
 
 
-# G, or a factor L or R of a `FactoredReflection`, is applied through a CSR
-# copy when at most this fraction of its entries is nonzero.  On one core a
-# CSR product costs about 1 ns per stored nonzero against about 0.12 ns per
-# entry of a dense OpenBLAS product, so CSR pays below a density near 1/8.
-# The shipped builders lie far on either side: svm_consensus's G at 0.033
-# (30 agents) and 0.010 (100), its factors 0.004 and 0.010 at 100 agents; all
-# other G and the lasso's factors at 0.48 or more.
-SPARSE_DENSITY = 1 / 8
+# `from_constraints` keeps G as per-component blocks when the blocks hold
+# at most this share of its N^2 entries.  The shipped builders lie far on
+# either side: svm_consensus's blocks hold 1/30 (30 agents) and 1/100 (100
+# agents) of G; every other problem has one component, or minimax_fir's
+# 136 + 1 and minimax_fir_split's 80 + 80 + 2 + 2, at 0.48 or more.
+BLOCK_SHARE = 1 / 8
 
 # `from_constraints` stores G densely up to this many coordinates (2^18
 # entries, 2 MB) and as a `FactoredReflection` above.  The cut keeps every
@@ -95,25 +101,22 @@ SPARSE_DENSITY = 1 / 8
 DENSE_MAX_DIM = 512
 
 
-def _reflection(L, R, sign: float) -> np.ndarray:
-    """The dense N x N matrix sign (I - 2 L R), L and R dense or CSR."""
+def _reflection(L: np.ndarray, R: np.ndarray, sign: float) -> np.ndarray:
+    """The dense matrix sign (I - 2 L R), or a stack of them."""
     G = L @ R
-    if not isinstance(G, np.ndarray):
-        G = G.toarray()
     G *= -2.0 * sign
-    G[np.diag_indices(G.shape[0])] += sign
+    diag = np.arange(G.shape[-1])
+    G[..., diag, diag] += sign
     return G
 
 
-def _csr_if_sparse(M: np.ndarray):
-    """M as a CSR array when at most `SPARSE_DENSITY` of it is nonzero, else None."""
-    if np.count_nonzero(M) > SPARSE_DENSITY * M.size:
-        return None
-    # Imported here: at module level scipy.sparse would more than double
-    # the time `import scatopt` takes.
-    from scipy.sparse import csr_array
-
-    return csr_array(M)
+def _checked_offset(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"offset must be a vector, got shape {s.shape}")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("offset contains non-finite entries")
+    return s
 
 
 @dataclass(frozen=True)
@@ -132,11 +135,8 @@ class AffineInterconnection:
             raise ValueError(f"offset shape {s.shape} does not match G {G.shape}")
         if not np.all(np.isfinite(G)):
             raise ValueError("G contains non-finite entries")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("offset contains non-finite entries")
         object.__setattr__(self, "G", G)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "_sparse", _csr_if_sparse(G))
+        object.__setattr__(self, "s", _checked_offset(s))
 
     @property
     def dim(self) -> int:
@@ -150,9 +150,7 @@ class AffineInterconnection:
         return self._product(c)
 
     def _product(self, c: np.ndarray) -> np.ndarray:
-        if self._sparse is None:
-            return c @ self.G.T
-        return (self._sparse @ c.T).T
+        return c @ self.G.T
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """G c + s, into a fresh array the caller may overwrite."""
@@ -161,48 +159,97 @@ class AffineInterconnection:
         return out
 
 
-@dataclass(frozen=True)
-class FactoredReflection(AffineInterconnection):
-    """The map c -> G c + s with G = sign (I - 2 L R) kept as its factors.
+class _FormedOnRead(AffineInterconnection):
+    """Base of the forms that keep G implicit.  Each subclass declares `G`
+    as a field outside `__init__` with no default, so the dataclass keeps
+    no class attribute of that name and `G` reads this property: the dense
+    N x N array, formed anew by `_dense` and kept nowhere.  Use it for
+    checks only."""
 
-    L is (N, k) and R is (k, N), each a dense array or, when at most
-    `SPARSE_DENSITY` of it is nonzero, a CSR copy; sign is +1 or -1.
-    `apply` is the inherited one.  Reading `G` forms the dense N x N
-    array anew each time and keeps nothing, so use it for checks only.
+    @property
+    def G(self) -> np.ndarray:
+        return self._dense()
+
+
+@dataclass(frozen=True)
+class BlockReflection(_FormedOnRead):
+    """The map c -> G c + s with G block-diagonal up to a permutation of
+    the coordinates, kept as its blocks.
+
+    For each block size k, `index` holds an (nb, k) array of coordinates
+    and `blocks` the (nb, k, k) stack with G[i[:, None], i] = B for each
+    row i of the index and block B; the index arrays together partition
+    0..N-1.  A product gathers each stack's coordinates, multiplies in one
+    batched matmul and scatters the result.
     """
 
-    s: np.ndarray
+    G: np.ndarray = field(init=False, repr=False, compare=False)
+    index: tuple
+    blocks: tuple
+
+    def __post_init__(self):
+        s = _checked_offset(self.s)
+        index = tuple(np.asarray(i, dtype=np.intp) for i in self.index)
+        blocks = tuple(np.asarray(B, dtype=float) for B in self.blocks)
+        if len(index) != len(blocks) or any(
+            i.ndim != 2 or B.shape != i.shape + i.shape[-1:] for i, B in zip(index, blocks)
+        ):
+            raise ValueError("each (nb, k) index needs an (nb, k, k) stack of blocks")
+        coords = np.concatenate([i.ravel() for i in index]) if index else np.zeros(0, int)
+        if not np.array_equal(np.sort(coords), np.arange(s.shape[0])):
+            raise ValueError(f"block index does not partition the {s.shape[0]} coordinates")
+        if not all(np.all(np.isfinite(B)) for B in blocks):
+            raise ValueError("blocks contain non-finite entries")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "blocks", blocks)
+
+    def _dense(self) -> np.ndarray:
+        G = np.zeros((self.dim, self.dim))
+        for i, B in zip(self.index, self.blocks):
+            G[i[:, :, None], i[:, None, :]] = B
+        return G
+
+    def _product(self, c: np.ndarray) -> np.ndarray:
+        rows = c.reshape(-1, self.dim)
+        out = np.empty_like(rows)
+        for i, B in zip(self.index, self.blocks):
+            # (nb, k, k) @ (nb, k, R): one matrix product per block for all R rows
+            out[:, i] = (B @ rows[:, i].transpose(1, 2, 0)).transpose(2, 0, 1)
+        return out.reshape(c.shape)
+
+
+@dataclass(frozen=True)
+class FactoredReflection(_FormedOnRead):
+    """The map c -> G c + s with G = sign (I - 2 L R) kept as its factors.
+
+    L is (N, k) and R is (k, N); sign is +1 or -1.
+    """
+
+    G: np.ndarray = field(init=False, repr=False, compare=False)
     L: np.ndarray
     R: np.ndarray
     sign: float
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.shape != self.L.shape[:1] or self.R.shape != self.L.shape[::-1]:
+        s = _checked_offset(self.s)
+        L = np.asarray(self.L, dtype=float)
+        R = np.asarray(self.R, dtype=float)
+        if L.ndim != 2 or s.shape != L.shape[:1] or R.shape != L.shape[::-1]:
             raise ValueError(
-                f"factor shapes {self.L.shape} and {self.R.shape} do not match "
-                f"offset shape {s.shape}"
+                f"factor shapes {L.shape} and {R.shape} do not match offset shape {s.shape}"
             )
         if self.sign not in (1.0, -1.0):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("offset contains non-finite entries")
+        for name, M in (("L", L), ("R", R)):
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"factor {name} contains non-finite entries")
         object.__setattr__(self, "s", s)
-        for name in ("L", "R"):
-            M = getattr(self, name)
-            if isinstance(M, np.ndarray):
-                if not np.all(np.isfinite(M)):
-                    raise ValueError(f"factor {name} contains non-finite entries")
-                sparse = _csr_if_sparse(M)
-                if sparse is not None:
-                    object.__setattr__(self, name, sparse)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "R", R)
 
-    # An accessor, not a stored field: every read of G forms the N x N
-    # array anew and keeps nothing.  This relies on `@dataclass` leaving
-    # an init=False field's default, here the property, as the class
-    # attribute, and on no method of this class assigning G.
-    G: np.ndarray = field(init=False, repr=False, compare=False,
-                          default=property(lambda self: _reflection(self.L, self.R, self.sign)))
+    def _dense(self) -> np.ndarray:
+        return _reflection(self.L, self.R, self.sign)
 
     def _product(self, c: np.ndarray) -> np.ndarray:
         return self.sign * (c - 2.0 * (self.L @ (self.R @ c.T)).T)
@@ -272,6 +319,91 @@ def absorb_sources(
     return AffineInterconnection(G=G_red, s=s_red)
 
 
+def _components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected-component labels 0, 1, ... of the rows and of the columns
+    of A, where row i and column j are joined when A[i, j] != 0.
+
+    Nodes are numbered columns first, then rows, and each carries the root
+    of its tree, a node of its component.  Each round finds every node's
+    least label among itself and its neighbours, by masked minimum
+    reductions over A's rows and columns; hooks every root onto the least
+    of these over its tree (a sorted `minimum.reduceat`); then jumps each
+    label to its root.  Trees merge with their neighbours every round, so
+    even a shuffled path of 4000 nodes settles in 10 rounds.
+    """
+    m, nf = A.shape
+    joined = A != 0
+    top = nf + m
+    label = np.arange(top)
+    while True:
+        by_row = np.where(joined, label[:nf], top).min(axis=1, initial=top)
+        by_col = np.where(joined, label[nf:, None], top).min(axis=0, initial=top)
+        least = np.minimum(label, np.concatenate([by_col, by_row]))
+        if np.array_equal(least, label):
+            break
+        order = np.argsort(label, kind="stable")
+        starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+        root = np.arange(top)
+        root[label[order[starts]]] = np.minimum.reduceat(least[order], starts)
+        label = root[label]
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    comp = np.unique(label, return_inverse=True)[1]
+    return comp[nf:], comp[:nf]
+
+
+def _closed_form(A, free_idx, resid_idx, v):
+    """(L, R, sign, s) with G = sign (I - 2 L R) and offset s of the
+    reflection across {z : z[resid] = A z[free] - v}, for one constraint
+    matrix A (m, nf) or for a stack (nb, m, nf) with offsets v (nb, m)."""
+    *batch, m, nf = A.shape
+    n = nf + m
+    z0 = np.zeros((*batch, n))
+    z0[..., resid_idx] = -v
+    if nf < m:
+        L = np.zeros((*batch, n, nf))  # B
+        L[..., free_idx, :] = np.eye(nf)
+        L[..., resid_idx, :] = A
+        gram, sign = np.eye(nf) + np.swapaxes(A, -1, -2) @ A, -1.0
+    else:
+        C = np.zeros((*batch, m, n))
+        C[..., free_idx] = A
+        C[..., resid_idx] = -np.eye(m)
+        L, gram, sign = np.swapaxes(C, -1, -2), np.eye(m) + A @ np.swapaxes(A, -1, -2), 1.0
+    # G = sign (I - 2 L R) and s = z0 - G z0, z0 being a point of the set
+    Lt = np.swapaxes(L, -1, -2)
+    X = np.linalg.solve(gram, np.concatenate([Lt, Lt @ z0[..., None]], axis=-1))
+    R, x = X[..., :n], X[..., n:]
+    u = (L @ x)[..., 0]
+    s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
+    return L, R, sign, s
+
+
+def _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp) -> BlockReflection:
+    """The reflection built per component, equal-shaped ones in one solve."""
+    n_comp = int(np.concatenate([row_comp, col_comp]).max()) + 1
+    m_c, nf_c = (np.bincount(c, minlength=n_comp) for c in (row_comp, col_comp))
+    rows_by_comp = np.argsort(row_comp, kind="stable")
+    cols_by_comp = np.argsort(col_comp, kind="stable")
+    s = np.empty(len(free_idx) + len(resid_idx))
+    stacks: dict[int, list] = {}
+    for mk, fk in np.unique(np.column_stack([m_c, nf_c]), axis=0):
+        shaped = (m_c == mk) & (nf_c == fk)
+        nb = int(shaped.sum())
+        rows = rows_by_comp[shaped[row_comp[rows_by_comp]]].reshape(nb, mk)
+        cols = cols_by_comp[shaped[col_comp[cols_by_comp]]].reshape(nb, fk)
+        L, R, sign, s_b = _closed_form(A[rows[:, :, None], cols[:, None, :]],
+                                       np.arange(fk), np.arange(fk, fk + mk), v[rows])
+        index = np.concatenate([free_idx[cols], resid_idx[rows]], axis=1)
+        s[index] = s_b
+        stacks.setdefault(fk + mk, []).append((index, _reflection(L, R, sign)))
+    return BlockReflection(
+        s=s,
+        index=tuple(np.concatenate([i for i, _ in group]) for group in stacks.values()),
+        blocks=tuple(np.concatenate([B for _, B in group]) for group in stacks.values()),
+    )
+
+
 def from_constraints(
     A: np.ndarray,
     free_idx: np.ndarray,
@@ -290,9 +422,16 @@ def from_constraints(
     B = [I; A] in (free, resid) row order and z0 = (0, -v),
         G = 2 B X - I,   s = 2 (z0 - B X z0),   X = (I + A^T A)^-1 B^T,
     B X being the projector onto the range of B.  Both give the same map.
-    Above `DENSE_MAX_DIM` coordinates the build stops after the Gram solve
-    and returns the `FactoredReflection` G = sign (I - 2 L R), with
-    (L, R, sign) = (C^T, K^-1 C, +1) or (B, X, -1), and s = z0 - G z0.
+
+    The set is the product of the sets of the connected components of the
+    graph joining row i and column j when A[i, j] != 0, and its reflection
+    the product of theirs.  When the components' blocks hold at most
+    `BLOCK_SHARE` of the N^2 entries, each is built alone by the same
+    closed form, equal shapes in one stacked solve, and the map is a
+    `BlockReflection`.  Otherwise G is stored up to `DENSE_MAX_DIM`
+    coordinates; above, the build stops after the Gram solve and returns
+    the `FactoredReflection` G = sign (I - 2 L R), with (L, R, sign) =
+    (C^T, K^-1 C, +1) or (B, X, -1), and s = z0 - G z0.
     G is symmetric, orthonormal and an involution, and every point of the
     constraint set is fixed.  This equals the paper's construction, the
     Cayley transform of the skew core holding A with the residual columns
@@ -316,23 +455,15 @@ def from_constraints(
     if not np.all(np.isfinite(v)):
         raise ValueError("constraint offset contains non-finite entries")
 
-    z0 = np.zeros(n)
-    z0[resid_idx] = -v
-    if nf < m:
-        L = np.zeros((n, nf))  # B
-        L[free_idx] = np.eye(nf)
-        L[resid_idx] = A
-        gram, sign = np.eye(nf) + A.T @ A, -1.0
-    else:
-        C = np.zeros((m, n))
-        C[:, free_idx] = A
-        C[:, resid_idx] = -np.eye(m)
-        L, gram, sign = C.T, np.eye(m) + A @ A.T, 1.0
-    # G = sign (I - 2 L R) and s = z0 - G z0, z0 being a point of the set
-    X = np.linalg.solve(gram, np.column_stack([L.T, L.T @ z0]))
-    R, x = X[:, :n], X[:, n]
-    u = L @ x
-    s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
+    # each row's and column's component holds it and its neighbours, so the
+    # blocks hold at least n + 2 nnz(A) entries: past the cut, skip the
+    # labelling and its m x nf temporaries (a dense lasso's A, say)
+    if n + 2 * np.count_nonzero(A) <= BLOCK_SHARE * n * n:
+        row_comp, col_comp = _components(A)
+        sizes = np.bincount(np.concatenate([row_comp, col_comp]))
+        if (sizes**2).sum() <= BLOCK_SHARE * n * n:
+            return _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp)
+    L, R, sign, s = _closed_form(A, free_idx, resid_idx, v)
     if n > DENSE_MAX_DIM:
         return FactoredReflection(s=s, L=L, R=R, sign=sign)
     return AffineInterconnection(G=_reflection(L, R, sign), s=s)

@@ -3,7 +3,8 @@
 These deliberately share no machinery with the engine: smooth first-order
 descent for the Huber variant, coordinate descent for the exact-l1
 variant, a linear program for the discretized minimax design, and the box
-dual for the support vector machine.
+dual for the support vector machine.  Only the first and the third load
+scipy.optimize, on call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .problems import FirSpec, LassoInstance, SvmInstance, design_grid
 
@@ -58,6 +58,8 @@ def oracle_lasso_huber(
     coordinates inside the notch |x| <= eps; a Newton step on the current
     pieces must lower the gradient norm, else the oracle fails.
     """
+    from scipy.optimize import minimize
+
     A, y = inst.A, inst.y
     lam, rho, eps = inst.l1_weight, inst.residual_weight, inst.huber_width
 
@@ -127,6 +129,8 @@ def oracle_minimax_lp(spec: FirSpec) -> OracleSolution:
     Variables (h, delta); minimize delta subject to
     |W (C h - desired)| <= delta on the grid.
     """
+    from scipy.optimize import linprog
+
     omega, desired, weights, _ = design_grid(spec)
     K = spec.half_taps
     C = np.cos(np.outer(omega, np.arange(K)))

@@ -578,8 +578,8 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
 
 # ---------------------------------------------------------------------------
 # Reference comparisons of a fixed point d.  `oracles` imports this module,
-# so it is imported on call (at module level it would also make importing
-# this module load scipy), and its solvers are looked up there at call time.
+# so it is imported on call, and its solvers are looked up there at call
+# time; only the lasso_huber and minimax oracles load scipy.optimize.
 
 
 def _compare_lasso_huber(built: BuiltProblem, d: np.ndarray) -> dict:

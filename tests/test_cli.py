@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from scatopt import monitor, oracles
+from scatopt import monitor, oracles, problems
 from scatopt.cli import ConfigError, RunConfig, main
+from scatopt.interconnect import BlockReflection, check_orthonormal
 
 
 def read_json(path):
@@ -223,6 +224,20 @@ class TestVerifyCommand:
         capped = [e for e in report["elements"] if e["kind"] == "CappedL1"]
         assert capped and all(e["informational"] for e in capped)
         assert report["norm_reduction"]["informational"] is True
+
+    def test_block_form_checked_block_by_block(self, tmp_path, monkeypatch):
+        # the svm keeps its G as per-agent blocks; verify checks each block
+        # and reports the worst, never forming the N x N G
+        def refuse(self):
+            raise AssertionError("verify formed the dense G")
+
+        monkeypatch.setattr(BlockReflection, "_dense", refuse)
+        assert main(["verify", "--problem", "svm_consensus", "--out", str(tmp_path)]) == 0
+        ic = problems.build(
+            "svm_consensus", problems.default_instance("svm_consensus")).system.interconnection
+        deviation = max(check_orthonormal(B).max_deviation for B in ic.blocks)
+        report = read_json(tmp_path / "verify.json")["orthonormality"]
+        assert report == {"max_deviation": deviation, "passed": True}
 
     def test_svm_report_serializes(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

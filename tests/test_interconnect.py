@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from scatopt import interconnect, problems
 from scatopt.interconnect import (
     AffineInterconnection,
+    BlockReflection,
     FactoredReflection,
     SourceRelation,
     absorb_sources,
@@ -56,6 +58,14 @@ class TestCheckOrthonormal:
         assert not rep.passed
         assert rep.max_deviation == pytest.approx(3.0)
 
+    def test_stack_reports_worst_matrix(self):
+        stack = np.stack([np.eye(3), cayley(random_skew(3, seed=1)), 1.5 * np.eye(3)])
+        rep = check_orthonormal(stack)
+        assert not rep.passed and rep.max_deviation == pytest.approx(1.25)
+        assert check_orthonormal(stack[:2]).passed
+        with pytest.raises(ValueError, match="square"):
+            check_orthonormal(np.zeros((2, 3, 4)))
+
 
 class TestAffineInterconnection:
     def test_identity_apply(self):
@@ -95,47 +105,60 @@ class TestAffineInterconnection:
             AffineInterconnection(np.eye(2), np.zeros(2)).apply(np.zeros(3))
 
 
-def block_diagonal_rotation(n_blocks, size, seed):
-    """An orthonormal G with n_blocks dense blocks, density 1 / n_blocks."""
-    G = np.zeros((n_blocks * size, n_blocks * size))
+def block_constraints(n_blocks, rows, cols, seed):
+    """A block-diagonal constraint matrix of n_blocks dense (rows, cols)
+    blocks: its constraint graph has one component per block."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n_blocks * rows, n_blocks * cols))
     for k in range(n_blocks):
-        sl = slice(k * size, (k + 1) * size)
-        G[sl, sl] = cayley(random_skew(size, seed=seed + k))
-    return G
+        A[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols] = rng.normal(size=(rows, cols))
+    return A
 
 
 class TestSparseApply:
-    """G is applied through a CSR copy when at most 1/8 of it is nonzero;
-    either way `linear` and `apply` are the dense products."""
+    """`from_constraints` keeps G as per-component blocks when they hold at
+    most 1/8 of its entries, else stores it; either way `linear` and
+    `apply` are the products of the dense closed form."""
 
     @pytest.mark.parametrize(
         "n_blocks, sparse", [(10, True), (8, True), (7, False), (1, False)],
         ids=["density_0.1", "density_0.125", "density_0.143", "dense"],
     )
     def test_matches_dense_product(self, n_blocks, sparse):
-        G = block_diagonal_rotation(n_blocks, 3, seed=40)
+        # n_blocks components of 3 coordinates: the blocks hold 1 / n_blocks of G
+        A = block_constraints(n_blocks, 1, 2, seed=40)
         rng = np.random.default_rng(41)
-        s = rng.normal(size=G.shape[0])
-        ic = AffineInterconnection(G, s)
-        assert (ic._sparse is not None) is sparse
+        perm = rng.permutation(3 * n_blocks)
+        free, resid = perm[:2 * n_blocks], perm[2 * n_blocks:]
+        offset = rng.normal(size=n_blocks)
+        ic = from_constraints(A, free, resid, offset=offset)
+        assert type(ic) is (BlockReflection if sparse else AffineInterconnection)
+        G, s = TestFromConstraints.reflection_oracle(A, free, resid, offset)
         for c in (rng.normal(size=G.shape[0]), rng.normal(size=(5, G.shape[0]))):
             np.testing.assert_allclose(ic.linear(c), c @ G.T, rtol=0, atol=1e-14)
             np.testing.assert_allclose(ic.apply(c), c @ G.T + s, rtol=0, atol=1e-14)
             assert ic.apply(c).shape == c.shape
 
-    def test_import_leaves_scipy_sparse_unloaded(self):
-        # scatopt.problems and scatopt.cli import the oracles, and with them
-        # scipy.optimize, only when a comparison runs; a dense lasso above
-        # the factored cut stores no CSR factor
-        code = ("import sys, scatopt, scatopt.problems as p, scatopt.cli; "
-                "name = 'lasso_augmented'; "
-                "ic = p.build(name, p.default_instance(name, params={'m': 100, 'n': 500})"
-                ").system.interconnection; "
-                "print(type(ic).__name__, 'scipy.sparse' in sys.modules, "
-                "'scipy.optimize' in sys.modules)")
+    def test_import_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # no form of the interconnection loads scipy.sparse, and only the
+        # lasso_huber and minimax oracles load scipy.optimize: building the
+        # factored lasso and the block svm at 30 and 100 agents, an svm run
+        # and a lasso_augmented comparison load neither
+        code = (
+            "import sys, scatopt.problems as p, scatopt.cli as cli\n"
+            "def form(name, params):\n"
+            "    built = p.build(name, p.default_instance(name, params=params))\n"
+            "    return type(built.system.interconnection).__name__\n"
+            "print(form('lasso_augmented', {'m': 100, 'n': 500}),"
+            " form('svm_consensus', {'n_agents': 30}), form('svm_consensus', {'n_agents': 100}))\n"
+            f"assert cli.main(['run', '--problem', 'svm_consensus', '--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert cli.main(['compare', '--problem', 'lasso_augmented', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
-        assert out.stdout.strip() == "FactoredReflection False False"
+        assert out.stdout.split() == [
+            "FactoredReflection", "BlockReflection", "BlockReflection", "False", "False"]
 
 
 class TestAbsorbSources:
@@ -328,19 +351,10 @@ class TestFromConstraints:
             from_constraints(A, np.array([0, 1]), np.array([2, 3]), offset=np.zeros(3))
 
 
-def block_constraints(n_blocks, rows, cols, seed):
-    """A block-diagonal constraint matrix, so that both factors of the
-    reflection are sparse, with its blocked free and residual indices."""
-    rng = np.random.default_rng(seed)
-    A = np.zeros((n_blocks * rows, n_blocks * cols))
-    for k in range(n_blocks):
-        A[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols] = rng.normal(size=(rows, cols))
-    return A
-
-
 class TestFactoredReflection:
     """Above DENSE_MAX_DIM coordinates `from_constraints` keeps G = sign
-    (I - 2 L R) from its Gram solve; it must be the same reflection."""
+    (I - 2 L R) from its Gram solve, or per-component blocks when A is
+    block-diagonal; either must be the same reflection."""
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize(
@@ -362,10 +376,11 @@ class TestFactoredReflection:
         free, resid = perm[:nf], perm[nf:]
         offset = rng.normal(size=m)
         ic = from_constraints(A, free, resid, offset=offset)
-        assert isinstance(ic, FactoredReflection)
-        assert ic.sign == (1.0 if m <= nf else -1.0)
-        for M in (ic.L, ic.R):
-            assert isinstance(M, np.ndarray) is (storage == "dense")
+        if storage == "sparse":
+            assert type(ic) is BlockReflection
+        else:
+            assert type(ic) is FactoredReflection
+            assert ic.sign == (1.0 if m <= nf else -1.0)
         G, s = TestFromConstraints.reflection_oracle(A, free, resid, offset)
         np.testing.assert_allclose(ic.s, s, rtol=0, atol=1e-12)
         np.testing.assert_allclose(ic.G, G, rtol=0, atol=1e-12)
@@ -423,3 +438,138 @@ class TestFactoredReflection:
         np.testing.assert_array_equal(loop.s, ic.s - ic.linear(g) - g)
         c = np.random.default_rng(65).normal(size=ic.dim)
         np.testing.assert_array_equal(loop.apply(c), ic.linear(c) + loop.s)
+
+
+# (constraints, free coordinates) of each component: singletons of one
+# free coordinate (an all-zero column) and of one constraint (an all-zero
+# row), both Gram forms, and unequal block sizes
+COMPONENT_SHAPES = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (1, 4), (2, 2)] * 3
+
+
+def component_constraints(shapes, seed, path=False):
+    """A constraint system with one component of each (rows, cols) shape,
+    rows, columns and coordinates shuffled: (A, free, resid, offset, the
+    set of each component's coordinates).  A component's block is dense,
+    or with `path` nonzero only on and next to its diagonal, a path
+    through all its rows and columns."""
+    rng = np.random.default_rng(seed)
+    m, nf = (sum(dims) for dims in zip(*shapes))
+    row_at, col_at, perm = rng.permutation(m), rng.permutation(nf), rng.permutation(m + nf)
+    free, resid = perm[:nf], perm[nf:]
+    A = np.zeros((m, nf))
+    components, r, c = set(), 0, 0
+    for mk, fk in shapes:
+        rows, cols = row_at[r:r + mk], col_at[c:c + fk]
+        block = rng.normal(size=(mk, fk))
+        if path:
+            block = np.triu(np.tril(block, 1), 0)
+        A[np.ix_(rows, cols)] = block
+        components.add(frozenset(resid[rows]) | frozenset(free[cols]))
+        r, c = r + mk, c + fk
+    return A, free, resid, rng.normal(size=m), components
+
+
+def searched_components(A):
+    """Each node's component (columns first, then rows) by depth-first
+    search of the graph joining row i and column j when A[i, j] != 0,
+    named by its first node."""
+    m, nf = A.shape
+    comp = np.full(m + nf, -1)
+    for start in range(m + nf):
+        if comp[start] >= 0:
+            continue
+        comp[start], todo = start, [start]
+        while todo:
+            node = todo.pop()
+            near = np.flatnonzero(A[node - nf]) if node >= nf else nf + np.flatnonzero(A[:, node])
+            for other in near[comp[near] < 0]:
+                comp[other] = start
+                todo.append(other)
+    return comp
+
+
+class TestBlockReflection:
+    """When the constraint graph splits into components whose blocks hold
+    at most 1/8 of G's entries, `from_constraints` keeps one block per
+    component; it must be the same reflection as the dense closed form."""
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        A, free, resid, offset, components = component_constraints(COMPONENT_SHAPES, seed=70)
+        return A, free, resid, offset, components, from_constraints(A, free, resid, offset)
+
+    @pytest.mark.parametrize("path", [False, True], ids=["dense_blocks", "path_blocks"])
+    def test_blocks_are_the_components(self, path):
+        # path blocks of 8 x 8 take several labelling sweeps each
+        shapes = [(8, 8)] * 12 if path else COMPONENT_SHAPES
+        A, free, resid, offset, components = component_constraints(shapes, seed=71, path=path)
+        ic = from_constraints(A, free, resid, offset)
+        assert type(ic) is BlockReflection
+        assert {frozenset(row) for i in ic.index for row in i} == components
+        sizes = [i.shape[1] for i in ic.index]
+        assert len(set(sizes)) == len(sizes)
+        assert all(B.shape == i.shape + i.shape[-1:] for i, B in zip(ic.index, ic.blocks))
+
+    def test_labels_match_a_search(self):
+        # a path through 600 shuffled rows and columns, and random sparse
+        # graphs, against a search of the same graph
+        rng = np.random.default_rng(76)
+        path = np.eye(300) + np.eye(300, k=1)
+        graphs = [path[rng.permutation(300)][:, rng.permutation(300)]]
+        graphs += [(rng.random((m, nf)) < 2.0 / max(m, nf)) * 1.0
+                   for m, nf in rng.integers(1, 80, size=(20, 2))]
+        for A in graphs:
+            rows, cols = interconnect._components(A)
+            labels, ref = np.concatenate([cols, rows]), searched_components(A)
+            # the same partition, labelled 0, 1, ...
+            assert len(set(zip(labels, ref))) == len(set(ref)) == labels.max() + 1
+
+    def test_matches_dense_closed_form(self, system):
+        A, free, resid, offset, _, ic = system
+        G, s = TestFromConstraints.reflection_oracle(A, free, resid, offset)
+        np.testing.assert_allclose(ic.s, s, rtol=0, atol=1e-14)
+        rng = np.random.default_rng(72)
+        for c in (rng.normal(size=ic.dim), rng.normal(size=(6, ic.dim))):
+            np.testing.assert_allclose(ic.linear(c), c @ G.T, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(ic.apply(c), c @ G.T + s, rtol=0, atol=1e-14)
+            assert ic.apply(c).shape == c.shape
+
+    def test_symmetric_involution_formed_on_access(self, system):
+        ic = system[-1]
+        G = ic.G
+        np.testing.assert_allclose(G, G.T, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(G @ G, np.eye(ic.dim), rtol=0, atol=1e-14)
+        assert "G" not in vars(ic) and ic.G is not G
+        assert all(check_orthonormal(B, tol=1e-14).passed for B in ic.blocks)
+
+    def test_constraint_points_are_fixed(self, system):
+        A, free, resid, offset, _, ic = system
+        z = np.empty(ic.dim)
+        z[free] = np.random.default_rng(73).normal(size=len(free))
+        z[resid] = A @ z[free] - offset
+        np.testing.assert_allclose(ic.apply(z), z, rtol=0, atol=1e-13)
+
+    def test_replace_offset_keeps_blocks(self, system):
+        ic = system[-1]
+        s = np.random.default_rng(74).normal(size=ic.dim)
+        moved = replace(ic, s=s)
+        assert type(moved) is BlockReflection and moved.s is not ic.s
+        assert all(a is b for a, b in zip(moved.index + moved.blocks, ic.index + ic.blocks))
+        c = np.random.default_rng(75).normal(size=(2, ic.dim))
+        np.testing.assert_array_equal(moved.apply(c), ic.linear(c) + s)
+
+    def test_constructor_validation(self):
+        index, blocks = (np.array([[0, 2], [1, 3]]),), (np.stack([np.eye(2)] * 2),)
+        assert np.array_equal(BlockReflection(np.zeros(4), index, blocks).G, np.eye(4))
+        with pytest.raises(ValueError, match="partition"):
+            BlockReflection(np.zeros(5), index, blocks)
+        with pytest.raises(ValueError, match="partition"):
+            BlockReflection(np.zeros(4), (np.array([[0, 2], [1, 2]]),), blocks)
+        with pytest.raises(ValueError, match=r"\(nb, k, k\) stack"):
+            BlockReflection(np.zeros(4), index, (np.eye(2),))
+        with pytest.raises(ValueError, match=r"\(nb, k, k\) stack"):
+            BlockReflection(np.zeros(4), index, blocks + blocks)
+        with pytest.raises(ValueError, match="blocks contain non-finite"):
+            BlockReflection(np.zeros(4), index, (blocks[0] + np.inf,))
+        with pytest.raises(ValueError, match="offset contains non-finite"):
+            BlockReflection(np.array([0.0, np.nan, 0.0, 0.0]), index, blocks)

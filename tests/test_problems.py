@@ -17,7 +17,12 @@ from scatopt.elements import (
     group_elements,
 )
 from scatopt.engine import DelayBank, System, run
-from scatopt.interconnect import AffineInterconnection, FactoredReflection, check_orthonormal
+from scatopt.interconnect import (
+    AffineInterconnection,
+    BlockReflection,
+    FactoredReflection,
+    check_orthonormal,
+)
 from scatopt.pairs import Block
 from scatopt.problems import (
     EqualizerInstance,
@@ -137,11 +142,15 @@ class TestBuilderInvariants:
     @pytest.mark.parametrize(
         "name, sparse", [(name, name == "svm_consensus") for name in problems.PROBLEM_NAMES])
     def test_apply_form_follows_density(self, name, sparse):
-        # the svm's G is block-diagonal (3.3 % nonzero), the other defaults' are full
+        # the svm's constraint graph splits into one 16-coordinate component
+        # per agent, whose blocks hold 1/30 of G; the other defaults' G is stored
         built = problems.build(name, problems.default_instance(name, seed=0))
         ic = built.system.interconnection
-        assert type(ic) is AffineInterconnection
-        assert (ic._sparse is not None) is sparse
+        if sparse:
+            assert type(ic) is BlockReflection
+            assert [B.shape for B in ic.blocks] == [(30, 16, 16)]
+        else:
+            assert type(ic) is AffineInterconnection
         c = np.random.default_rng(5).normal(size=(3, ic.dim))
         np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
 
@@ -155,14 +164,17 @@ class TestBuilderInvariants:
         np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize(
-        "name, params", [("lasso_augmented", LARGE_LASSO), ("svm_consensus", {"n_agents": 40})],
+        "name, params, form",
+        [("lasso_augmented", LARGE_LASSO, FactoredReflection),
+         ("svm_consensus", {"n_agents": 40}, BlockReflection)],
         ids=["lasso_N600", "svm_40_agents"],
     )
-    def test_factored_run_matches_dense(self, name, params):
-        # above the cut the factored map takes the dense map's iterations
+    def test_factored_run_matches_dense(self, name, params, form):
+        # above the cut the factored map, and at any size the block map,
+        # take the dense map's iterations
         built = problems.build(name, problems.default_instance(name, seed=0, params=params))
         ic = built.system.interconnection
-        assert isinstance(ic, FactoredReflection)
+        assert type(ic) is form
         dense = System(AffineInterconnection(ic.G, ic.s), built.system.elements)
         got = run(built.system, DelayBank(), tol=1e-6)
         ref = run(dense, DelayBank(), tol=1e-6)
