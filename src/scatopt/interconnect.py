@@ -211,12 +211,14 @@ class BlockReflection(_FormedOnRead):
         return G
 
     def _product(self, c: np.ndarray) -> np.ndarray:
-        rows = c.reshape(-1, self.dim)
-        out = np.empty_like(rows)
+        out = np.empty_like(c)
         for i, B in zip(self.index, self.blocks):
-            # (nb, k, k) @ (nb, k, R): one matrix product per block for all R rows
-            out[:, i] = (B @ rows[:, i].transpose(1, 2, 0)).transpose(2, 0, 1)
-        return out.reshape(c.shape)
+            if c.ndim == 1:
+                out[i] = (B @ c[i][..., None])[..., 0]
+            else:
+                # (nb, k, k) @ (nb, k, R): one matrix product per block for all R rows
+                out.T[i] = B @ c.T[i]
+        return out
 
 
 @dataclass(frozen=True)
