@@ -213,7 +213,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    # the oracles load only here, and scipy.optimize only inside the two that use it
+    # the oracles load only here
     from .oracles import OracleFailure
 
     compare = problems.PROBLEMS[cfg.problem].compare

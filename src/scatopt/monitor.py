@@ -36,9 +36,10 @@ def reference_fixed_point(
     """A reference d* from a long synchronous run at tight tolerance."""
     result = run(system, DelayBank(), tol=tol, max_iters=max_iters)
     if not result.converged:
+        resid = result.trace.self_residual
+        last = f"final residual {resid[-1]:.3e}" if len(resid) else "no iterations made"
         raise RuntimeError(
-            f"reference run did not reach tolerance {tol} in {max_iters} iterations "
-            f"(final residual {result.trace.self_residual[-1]:.3e})"
+            f"reference run did not reach tolerance {tol} in {max_iters} iterations ({last})"
         )
     return result.state.d
 

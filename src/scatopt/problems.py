@@ -579,7 +579,7 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
 # ---------------------------------------------------------------------------
 # Reference comparisons of a fixed point d.  `oracles` imports this module,
 # so it is imported on call, and its solvers are looked up there at call
-# time; only the lasso_huber and minimax oracles load scipy.optimize.
+# time.
 
 
 def _compare_lasso_huber(built: BuiltProblem, d: np.ndarray) -> dict:

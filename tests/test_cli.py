@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -304,4 +305,12 @@ class TestCompareCommand:
         ])
         assert code == 3
         assert "error: reference oracle failed: stalled" in capsys.readouterr().err
+        assert not (tmp_path / "compare.json").exists()
+
+    def test_lp_oracle_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oracles, "oracle_minimax_lp",
+                            partial(oracles.oracle_minimax_lp, max_iters=2))
+        code = main(["compare", "--problem", "minimax_fir", "--out", str(tmp_path)])
+        assert code == 3
+        assert "error: reference oracle failed: minimax LP" in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()

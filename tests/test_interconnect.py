@@ -140,10 +140,10 @@ class TestSparseApply:
             assert ic.apply(c).shape == c.shape
 
     def test_import_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # no form of the interconnection loads scipy.sparse, and only the
-        # lasso_huber and minimax oracles load scipy.optimize: building the
-        # factored lasso and the block svm at 30 and 100 agents, an svm run
-        # and a lasso_augmented comparison load neither
+        # no form of the interconnection and no oracle loads scipy: building
+        # the factored lasso and the block svm at 30 and 100 agents, an svm
+        # run, a lasso_huber verify and a comparison on every problem that
+        # has an oracle leave no scipy module loaded
         code = (
             "import sys, scatopt.problems as p, scatopt.cli as cli\n"
             "def form(name, params):\n"
@@ -151,14 +151,19 @@ class TestSparseApply:
             "    return type(built.system.interconnection).__name__\n"
             "print(form('lasso_augmented', {'m': 100, 'n': 500}),"
             " form('svm_consensus', {'n_agents': 30}), form('svm_consensus', {'n_agents': 100}))\n"
-            f"assert cli.main(['run', '--problem', 'svm_consensus', '--out', {str(tmp_path)!r}]) == 0\n"
-            f"assert cli.main(['compare', '--problem', 'lasso_augmented', '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.sparse' in sys.modules, 'scipy.optimize' in sys.modules)"
+            f"out = {str(tmp_path)!r}\n"
+            "assert cli.main(['run', '--problem', 'svm_consensus', '--out', out]) == 0\n"
+            "assert cli.main(['verify', '--problem', 'lasso_huber', '--out', out]) == 0\n"
+            "compared = [n for n, row in p.PROBLEMS.items() if row.compare is not None]\n"
+            "for name in compared:\n"
+            "    assert cli.main(['compare', '--problem', name, '--out', out]) == 0, name\n"
+            "print(len(compared), *sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert out.stdout.split() == [
-            "FactoredReflection", "BlockReflection", "BlockReflection", "False", "False"]
+            "FactoredReflection", "BlockReflection", "BlockReflection", "5"]
 
 
 class TestAbsorbSources:

@@ -31,6 +31,10 @@ class TestReferenceFixedPoint:
                 lasso_huber_built.system, tol=1e-14, max_iters=5
             )
 
+    def test_zero_budget_raises(self, lasso_huber_built):
+        with pytest.raises(RuntimeError, match=r"in 0 iterations \(no iterations made\)"):
+            monitor.reference_fixed_point(lasso_huber_built.system, max_iters=0)
+
 
 class TestCertifyEq1:
     def test_passes_on_convex_example(self, lasso_huber_built, lasso_huber_dstar):

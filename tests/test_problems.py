@@ -583,7 +583,8 @@ class TestOracles:
         assert sol.extras["grad_norm"] <= 1e-6
 
     def test_huber_oracle_newton_finish(self):
-        # L-BFGS-B alone stops at a gradient norm of 1.18e-6 on this instance
+        # the instance on which scipy's L-BFGS-B, the oracle's earlier descent,
+        # stopped at a gradient norm of 1.18e-6 and needed the Newton finish
         inst = LassoInstance.random(m=300, n=1500, seed=0, sparsity=10)
         sol = oracles.oracle_lasso_huber(inst)
         assert sol.extras["grad_norm"] <= 1e-6
