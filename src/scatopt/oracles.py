@@ -99,15 +99,13 @@ def _lbfgs(value, grad, x, gtol, max_iters):
     The Armijo test allows a rise of 1e-15 |f|, the rounding in f, so that
     steps still count once the true decrease falls below it.  Returns the
     last iterate once the gradient norm reaches `gtol`, the budget runs
-    out, the line search fails or 100 steps pass without a new lowest
-    gradient norm; the caller certifies the point.
+    out or the line search fails; the caller certifies the point.
     """
     f, g = value(x), grad(x)
-    gnorm = best = float(np.linalg.norm(g))
-    since_best = 0
+    gnorm = float(np.linalg.norm(g))
     pairs = deque(maxlen=10)  # (s, y, 1 / y.s), oldest first
     for _ in range(max_iters):
-        if gnorm <= gtol or since_best >= 100:
+        if gnorm <= gtol:
             break
         q, coefs = g.copy(), []
         for s, yv, inv in reversed(pairs):
@@ -136,7 +134,6 @@ def _lbfgs(value, grad, x, gtol, max_iters):
             pairs.append((s, yv, 1.0 / sy))
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))
-        best, since_best = (gnorm, 0) if gnorm < best else (best, since_best + 1)
     return x
 
 
@@ -167,7 +164,11 @@ def oracle_lasso(inst: LassoInstance, tol: float = 1e-12, max_iters: int = 20000
     return OracleSolution(x=x, value=value, extras={})
 
 
-def oracle_minimax_lp(spec: FirSpec, tol: float = 1e-10, max_iters: int = 100) -> OracleSolution:
+_LP_TOL = 1e-10  # relative primal, dual and gap residuals of the minimax LP
+_LP_MAX_ITERS = 100  # interior point steps; 8 to 15 suffice on the specs tested
+
+
+def oracle_minimax_lp(spec: FirSpec) -> OracleSolution:
     """Linear program for the discretized weighted minimax design.
 
     Variables (h, delta); minimize delta subject to
@@ -183,17 +184,20 @@ def oracle_minimax_lp(spec: FirSpec, tol: float = 1e-10, max_iters: int = 100) -
     b = np.concatenate([wd, -wd])
     cost = np.zeros(K + 1)
     cost[-1] = 1.0
-    x = _lp_vertex(A, b, cost, *_lp_interior_point(A, b, cost, tol, max_iters), tol)
+    x = _lp_vertex(A, b, cost, *_lp_interior_point(A, b, cost))
     return OracleSolution(x=x[:K], value=float(x[-1]), extras={"omega": omega})
 
 
-def _lp_interior_point(A, b, c, tol, max_iters):
+def _lp_interior_point(A, b, c):
     """Mehrotra's predictor-corrector (SIAM J. Optim., 1992) on
     min c.x s.t. A x <= b, with slacks s = b - A x and multipliers z.
 
-    Each step forms the normal matrix A^T diag(z/s) A once and solves it
-    for the predictor and the corrector.  Returns (x, z) once the relative
-    primal, dual and gap residuals are all at most `tol`.
+    The last variable must enter every row with coefficient -1, as the
+    minimax bound delta does: setting it above max |b| is then a strictly
+    feasible start, s > 0.  Each step forms the normal matrix
+    A^T diag(z/s) A once and solves it for the predictor and the
+    corrector.  Returns (x, z) once the relative primal, dual and gap
+    residuals are all at most _LP_TOL.
     """
     m = b.size
     x = np.zeros(c.size)
@@ -206,13 +210,13 @@ def _lp_interior_point(A, b, c, tol, max_iters):
         neg = dv < 0
         return min(1.0, float((-v[neg] / dv[neg]).min())) if neg.any() else 1.0
 
-    for _ in range(max_iters):
+    for _ in range(_LP_MAX_ITERS):
         r_d = A.T @ z + c
         r_p = A @ x + s - b
         mu = float(s @ z) / m
         primal_obj = float(c @ x)
-        if (np.linalg.norm(r_p) <= tol * b_scale and np.linalg.norm(r_d) <= tol * c_scale
-                and abs(primal_obj + float(b @ z)) <= tol * (1.0 + abs(primal_obj))):
+        if (np.linalg.norm(r_p) <= _LP_TOL * b_scale and np.linalg.norm(r_d) <= _LP_TOL * c_scale
+                and abs(primal_obj + float(b @ z)) <= _LP_TOL * (1.0 + abs(primal_obj))):
             return x, z
         ratio = z / s
         normal = A.T @ (ratio[:, None] * A)
@@ -234,11 +238,12 @@ def _lp_interior_point(A, b, c, tol, max_iters):
         a_d = 0.99 * step_to_boundary(z, dz)
         x, s, z = x + a_p * dx, s + a_p * ds, z + a_d * dz
     raise OracleFailure(
-        f"minimax LP interior point did not reach tolerance {tol:g} in {max_iters} iterations"
+        f"minimax LP interior point did not reach tolerance {_LP_TOL:g}"
+        f" in {_LP_MAX_ITERS} iterations"
     )
 
 
-def _lp_vertex(A, b, c, x, z, tol):
+def _lp_vertex(A, b, c, x, z):
     """The vertex on the len(x) constraints with the largest multipliers,
     when it is primal feasible with nonnegative multipliers (then it is
     optimal); else the interior point x."""
@@ -248,8 +253,8 @@ def _lp_vertex(A, b, c, x, z, tol):
         z_active = np.linalg.solve(A[active].T, -c)
     except np.linalg.LinAlgError:
         return x  # degenerate, e.g. repeated constraint rows
-    feasible = (A @ vertex - b).max() <= tol * (1.0 + np.abs(b).max())
-    return vertex if feasible and z_active.min() >= -tol else x
+    feasible = (A @ vertex - b).max() <= _LP_TOL * (1.0 + np.abs(b).max())
+    return vertex if feasible and z_active.min() >= -_LP_TOL else x
 
 
 def oracle_svm_qp(

@@ -1,7 +1,6 @@
 import csv
 import json
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -308,8 +307,7 @@ class TestCompareCommand:
         assert not (tmp_path / "compare.json").exists()
 
     def test_lp_oracle_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oracles, "oracle_minimax_lp",
-                            partial(oracles.oracle_minimax_lp, max_iters=2))
+        monkeypatch.setattr(oracles, "_LP_MAX_ITERS", 2)
         code = main(["compare", "--problem", "minimax_fir", "--out", str(tmp_path)])
         assert code == 3
         assert "error: reference oracle failed: minimax LP" in capsys.readouterr().err

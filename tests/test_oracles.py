@@ -41,11 +41,12 @@ def highs_minimax(spec):
 
 class TestMinimaxLp:
     @pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
-    def test_matches_highs(self, spec):
+    def test_matches_highs(self, spec, monkeypatch):
         h, delta = highs_minimax(spec)
         # the corrector steps reach tolerance in 8 to 15 iterations on these
         # specs; the predictor alone takes 20 on the default
-        sol = oracles.oracle_minimax_lp(spec, max_iters=16)
+        monkeypatch.setattr(oracles, "_LP_MAX_ITERS", 16)
+        sol = oracles.oracle_minimax_lp(spec)
         assert sol.value == pytest.approx(delta, rel=1e-9, abs=0.0)
         np.testing.assert_allclose(sol.x, h, rtol=0, atol=1e-8)
 
@@ -53,25 +54,27 @@ class TestMinimaxLp:
         # min x s.t. x >= 0.2, x >= 0, x <= 1: the optimum is the vertex x = 0.2
         A, b, c = np.array([[-1.0], [-1.0], [1.0]]), np.array([-0.2, 0.0, 1.0]), np.array([1.0])
         interior = np.array([0.3])
-        vertex = oracles._lp_vertex(A, b, c, interior, np.array([1.0, 0.1, 0.1]), 1e-10)
+        vertex = oracles._lp_vertex(A, b, c, interior, np.array([1.0, 0.1, 0.1]))
         np.testing.assert_allclose(vertex, [0.2], rtol=0, atol=1e-15)
         # x = 0 has a nonnegative multiplier but breaks x >= 0.2
-        assert oracles._lp_vertex(A, b, c, interior, np.array([0.1, 1.0, 0.1]), 1e-10) is interior
+        assert oracles._lp_vertex(A, b, c, interior, np.array([0.1, 1.0, 0.1])) is interior
         # x = 1 is feasible but its multiplier is negative
-        assert oracles._lp_vertex(A, b, c, interior, np.array([0.1, 0.1, 1.0]), 1e-10) is interior
+        assert oracles._lp_vertex(A, b, c, interior, np.array([0.1, 0.1, 1.0])) is interior
 
     def test_singular_vertex_keeps_interior_point(self):
         # one tap: the largest multipliers sit on repeated grid rows
         A = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
         b, c, interior = np.array([1.0, 1.0, -1.0]), np.array([0.0, 1.0]), np.array([1.0, 1e-12])
-        assert oracles._lp_vertex(A, b, c, interior, np.array([1.0, 1.0, 0.5]), 1e-10) is interior
+        assert oracles._lp_vertex(A, b, c, interior, np.array([1.0, 1.0, 0.5])) is interior
 
-    def test_small_budget_raises(self):
+    def test_small_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_LP_MAX_ITERS", 2)
         with pytest.raises(oracles.OracleFailure, match="did not reach tolerance"):
-            oracles.oracle_minimax_lp(FirSpec(), max_iters=2)
+            oracles.oracle_minimax_lp(FirSpec())
 
 
 def huber_cost(inst):
+    """The smooth total cost and its gradient, written apart from the oracle."""
     A, y = inst.A, inst.y
     lam, rho, eps = inst.l1_weight, inst.residual_weight, inst.huber_width
 
@@ -88,19 +91,22 @@ def huber_cost(inst):
     return value, grad
 
 
+def assert_matches_lbfgsb(inst, sol):
+    """sol certifies its gradient norm and agrees with L-BFGS-B to 1e-6."""
+    value, grad = huber_cost(inst)
+    ref = minimize(value, np.zeros(inst.A.shape[1]), jac=grad, method="L-BFGS-B",
+                   options={"maxiter": 100000, "ftol": 1e-18, "gtol": 1e-12})
+    assert sol.extras["grad_norm"] <= 1e-6
+    assert np.linalg.norm(grad(sol.x)) == pytest.approx(sol.extras["grad_norm"], rel=1e-9)
+    np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-6)
+
+
 class TestLassoHuber:
-    @pytest.mark.parametrize("params", [{"seed": s} for s in range(5)]
-                             + [{"m": 300, "n": 1500, "seed": 0, "sparsity": 10}],
-                             ids=[f"seed_{s}" for s in range(5)] + ["m300_n1500"])
-    def test_matches_lbfgsb(self, params):
-        inst = LassoInstance.random(**params)
-        value, grad = huber_cost(inst)
-        ref = minimize(value, np.zeros(inst.A.shape[1]), jac=grad, method="L-BFGS-B",
-                       options={"maxiter": 100000, "ftol": 1e-18, "gtol": 1e-12})
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lbfgsb(self, seed):
+        inst = LassoInstance.random(seed=seed)
         sol = oracles.oracle_lasso_huber(inst)
-        assert sol.extras["grad_norm"] <= 1e-6
-        assert np.linalg.norm(grad(sol.x)) == pytest.approx(sol.extras["grad_norm"], rel=1e-9)
-        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-6)
+        assert_matches_lbfgsb(inst, sol)
 
     def test_newton_finish_certifies_a_short_descent(self):
         # 60 quasi-Newton steps stop above tol; L-BFGS alone stops near

@@ -33,6 +33,8 @@ from scatopt.problems import (
     make_regular_graph,
 )
 
+from test_oracles import assert_matches_lbfgsb
+
 # a lasso of N = 600 coordinates, above interconnect.DENSE_MAX_DIM
 LARGE_LASSO = {"m": 100, "n": 500, "sparsity": 5}
 
@@ -583,11 +585,12 @@ class TestOracles:
         assert sol.extras["grad_norm"] <= 1e-6
 
     def test_huber_oracle_newton_finish(self):
-        # the instance on which scipy's L-BFGS-B, the oracle's earlier descent,
-        # stopped at a gradient norm of 1.18e-6 and needed the Newton finish
+        # the oracle certifies its gradient norm on a large, narrow-notch
+        # instance and agrees there with scipy's L-BFGS-B
         inst = LassoInstance.random(m=300, n=1500, seed=0, sparsity=10)
         sol = oracles.oracle_lasso_huber(inst)
         assert sol.extras["grad_norm"] <= 1e-6
+        assert_matches_lbfgsb(inst, sol)
 
 
 class TestCostScale:
