@@ -1,15 +1,14 @@
 """Independent reference solvers used to check the fixed-point systems.
 
-These deliberately share no machinery with the engine: limited-memory
-BFGS with a Newton finish for the Huber variant, coordinate descent for the
-exact-l1 variant, a primal-dual interior point linear program for the
+These deliberately share no machinery with the engine: one cyclic
+coordinate descent, with its own closed-form one-dimensional steps, for
+both lasso variants, a primal-dual interior point linear program for the
 discretized minimax design, and the box dual for the support vector
 machine.  All are plain numpy.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,130 +35,69 @@ class OracleSolution:
     extras: dict
 
 
-def _huber_grad(x, weight, width):
-    return np.where(np.abs(x) <= width, weight * x / width, weight * np.sign(x))
+def _coordinate_descent(A, y, rho, step, tol, max_iters):
+    """Cyclic exact coordinate minimization of (rho/2) ||A x - y||^2 plus
+    a separable convex penalty, from x = 0 (convergent: Tseng, JOTA 2001).
 
-
-def _huber_val(x, weight, width):
-    ax = np.abs(x)
-    return float(
-        np.sum(np.where(ax <= width, weight * ax**2 / (2 * width), weight * (ax - width / 2)))
-    )
+    `step(corr, c)` minimizes (c/2) t^2 - corr t + phi(t), with
+    c = rho ||a_j||^2 and corr = rho a_j^T r, r the residual without
+    coordinate j; coordinates with c = 0 stay at zero.  Returns x after the
+    first sweep whose largest step is at most `tol`, else OracleFailure.
+    """
+    curv = rho * np.einsum("ij,ij->j", A, A)
+    x = np.zeros(A.shape[1])
+    r = y - A @ x
+    delta = np.inf
+    for _ in range(max_iters):
+        delta = 0.0
+        for j in np.flatnonzero(curv):
+            old = x[j]
+            r += A[:, j] * old
+            x[j] = step(rho * A[:, j] @ r, curv[j])
+            r -= A[:, j] * x[j]
+            delta = max(delta, abs(x[j] - old))
+        if delta <= tol:
+            return x
+    raise OracleFailure(f"coordinate descent stalled with step {delta:.3e}")
 
 
 def oracle_lasso_huber(
     inst: LassoInstance, tol: float = 1e-6, max_iters: int = 100000
 ) -> OracleSolution:
-    """Quasi-Newton descent with line search on the smooth total cost,
-    finished by Newton steps where it stops above `tol`.
-
-    Plain gradient descent stalls on the badly conditioned curvature of a
-    narrow Huber notch, so this runs limited-memory BFGS (the two-loop
-    recursion of Liu and Nocedal, 1989, over the last ten steps) with
-    Armijo backtracking, down to a gradient norm of tol / 100 (at tol / 10
-    the default instance's x can sit 4e-8 from the optimum, a fifth of the
-    error that `scatopt compare` reports).  The cost is piecewise
-    quadratic, with Hessian rho A^T A plus lam/eps on the coordinates
-    inside the notch |x| <= eps; a Newton step on the current pieces must
-    lower the gradient norm, else the oracle fails.
+    """Coordinate descent on the smooth total cost to steps of 1e-12;
+    `max_iters` counts sweeps.  Each step is exact: the Huber term is
+    lam t^2 / (2 eps) inside the notch |t| <= eps, lam (|t| - eps/2)
+    outside.  The oracle fails unless its gradient norm is at most `tol`.
     """
     A, y = inst.A, inst.y
     lam, rho, eps = inst.l1_weight, inst.residual_weight, inst.huber_width
 
-    def value(x):
-        r = A @ x - y
-        return _huber_val(x, lam, eps) + 0.5 * rho * float(r @ r)
+    def step(corr, c):
+        if abs(corr) <= lam + c * eps:
+            return corr / (c + lam / eps)
+        return np.sign(corr) * (abs(corr) - lam) / c
 
-    def grad(x):
-        return _huber_grad(x, lam, eps) + rho * A.T @ (A @ x - y)
-
-    x = _lbfgs(value, grad, np.zeros(A.shape[1]), 0.01 * tol, max_iters)
-    gnorm = float(np.linalg.norm(grad(x)))
-    for _ in range(20):  # each step solves the current pieces exactly; a few suffice
-        if gnorm <= tol:
-            break
-        hessian = rho * (A.T @ A) + np.diag(np.where(np.abs(x) <= eps, lam / eps, 0.0))
-        try:
-            x_new = x - np.linalg.solve(hessian, grad(x))
-        except np.linalg.LinAlgError as exc:
-            raise OracleFailure(f"huber-lasso Newton step failed: {exc}") from exc
-        gnorm, last = float(np.linalg.norm(grad(x_new))), gnorm
-        if not gnorm < last:
-            raise OracleFailure(f"huber-lasso Newton step raised the gradient norm to {gnorm:.3e}")
-        x = x_new
-    if gnorm > tol:
+    x = _coordinate_descent(A, y, rho, step, 1e-12, max_iters)
+    r, inside = A @ x - y, np.abs(x) <= eps
+    grad = np.where(inside, lam * x / eps, lam * np.sign(x)) + rho * A.T @ r
+    gnorm = float(np.linalg.norm(grad))
+    if not gnorm <= tol:
         raise OracleFailure(f"huber-lasso oracle stalled at gradient norm {gnorm:.3e}")
-    return OracleSolution(x=x, value=value(x), extras={"grad_norm": gnorm})
-
-
-def _lbfgs(value, grad, x, gtol, max_iters):
-    """Two-loop L-BFGS over the last ten steps, with Armijo backtracking,
-    on a convex smooth cost.
-
-    The Armijo test allows a rise of 1e-15 |f|, the rounding in f, so that
-    steps still count once the true decrease falls below it.  Returns the
-    last iterate once the gradient norm reaches `gtol`, the budget runs
-    out or the line search fails; the caller certifies the point.
-    """
-    f, g = value(x), grad(x)
-    gnorm = float(np.linalg.norm(g))
-    pairs = deque(maxlen=10)  # (s, y, 1 / y.s), oldest first
-    for _ in range(max_iters):
-        if gnorm <= gtol:
-            break
-        q, coefs = g.copy(), []
-        for s, yv, inv in reversed(pairs):
-            coefs.append(inv * float(s @ q))
-            q -= coefs[-1] * yv
-        if pairs:
-            s, yv, inv = pairs[-1]
-            q /= inv * float(yv @ yv)  # initial inverse Hessian s.y / y.y
-        else:
-            q *= min(1.0, 1.0 / gnorm)  # a first step of length at most 1
-        for (s, yv, inv), a in zip(pairs, reversed(coefs)):
-            q += (a - inv * float(yv @ q)) * s
-        slope, slack, t = -float(g @ q), 1e-15 * abs(f), 1.0
-        for _ in range(60):
-            x_new = x - t * q
-            f_new = value(x_new)
-            if f_new <= f + 1e-4 * t * slope + slack:
-                break
-            t *= 0.5
-        else:
-            break
-        g_new = grad(x_new)
-        s, yv = x_new - x, g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-16 * float(yv @ yv):
-            pairs.append((s, yv, 1.0 / sy))
-        x, f, g = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
-    return x
+    huber = np.where(inside, lam * x**2 / (2 * eps), lam * (np.abs(x) - eps / 2))
+    value = float(huber.sum()) + 0.5 * rho * float(r @ r)
+    return OracleSolution(x=x, value=value, extras={"grad_norm": gnorm})
 
 
 def oracle_lasso(inst: LassoInstance, tol: float = 1e-12, max_iters: int = 200000) -> OracleSolution:
-    """Cyclic coordinate descent on lam ||x||_1 + (rho/2) ||A x - y||^2."""
+    """Coordinate descent on lam ||x||_1 + (rho/2) ||A x - y||^2, each
+    step a soft threshold; `max_iters` counts sweeps."""
     A, y = inst.A, inst.y
     lam, rho = inst.l1_weight, inst.residual_weight
-    n = A.shape[1]
-    col_sq = np.einsum("ij,ij->j", A, A)
-    x = np.zeros(n)
-    r = y - A @ x
-    for _ in range(max_iters):
-        delta = 0.0
-        for j in range(n):
-            if col_sq[j] == 0.0:
-                continue
-            old = x[j]
-            r += A[:, j] * old
-            corr = rho * A[:, j] @ r
-            x[j] = np.sign(corr) * max(abs(corr) - lam, 0.0) / (rho * col_sq[j])
-            r -= A[:, j] * x[j]
-            delta = max(delta, abs(x[j] - old))
-        if delta <= tol:
-            break
-    else:
-        raise OracleFailure(f"coordinate descent stalled with step {delta:.3e}")
+
+    def step(corr, c):
+        return np.sign(corr) * max(abs(corr) - lam, 0.0) / c
+
+    x = _coordinate_descent(A, y, rho, step, tol, max_iters)
     value = lam * float(np.abs(x).sum()) + 0.5 * rho * float((A @ x - y) @ (A @ x - y))
     return OracleSolution(x=x, value=value, extras={})
 
@@ -266,7 +204,7 @@ def oracle_svm_qp(
     n = X.shape[0]
     Q = (y[:, None] * X) @ (y[:, None] * X).T
     step = 1.0 / (np.linalg.norm(Q, 2) + 1e-12)
-    alpha = np.zeros(n)
+    alpha, move = np.zeros(n), np.inf
     for _ in range(max_iters):
         g = Q @ alpha - 1.0
         alpha_new = np.clip(alpha - step * g, 0.0, Cw)

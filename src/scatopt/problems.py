@@ -95,10 +95,11 @@ class LassoInstance:
             raise ValueError(
                 f"y length {self.y.shape} does not match A rows {self.A.shape[0]}"
             )
-        if self.l1_weight < 0 or self.residual_weight < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.huber_width <= 0:
-            raise ValueError("huber_width must be positive")
+        if not (np.isfinite(self.A).all() and np.isfinite(self.y).all()):
+            raise ValueError("A and y must be finite")
+        _check(self.l1_weight, "l1_weight")
+        _check(self.residual_weight, "residual_weight")
+        _check(self.huber_width, "huber_width", strict=True)
 
     @classmethod
     def random(
@@ -382,6 +383,10 @@ class SvmInstance:
             raise ValueError("one label per agent required")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
+        _check(self.coupling_weight, "coupling_weight")
+        _check(self.hinge_weight, "hinge_weight")
         if self.adjacency.shape != (n, n):
             raise ValueError("adjacency must be square over the agents")
         if not _connected(self.adjacency):

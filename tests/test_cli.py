@@ -120,14 +120,15 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"instance": {"coupling_weight": 5.0}}))
         assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path)]) == 1
         # an infinite relation parameter (JSON `Infinity`) fails before the solve
-        for name, params in (("svm_consensus", {"coupling_weight": float("inf")}),
-                             ("lasso_huber", {"residual_weight": float("inf")})):
-            cfg_path.write_text(json.dumps({"instance": params}))
+        for name, key in (("svm_consensus", "coupling_weight"),
+                          ("lasso_huber", "residual_weight")):
+            cfg_path.write_text(json.dumps({"instance": {key: float("inf")}}))
             capsys.readouterr()
             assert main(["run", "--problem", name, "--config", str(cfg_path),
                          "--out", str(tmp_path / "inf")]) == 1
             assert capsys.readouterr().err == ("error: invalid instance parameters: "
-                                               "weight must be nonnegative and finite, got inf\n")
+                                               f"{key} must be nonnegative and finite, "
+                                               "got inf\n")
             assert not (tmp_path / "inf").exists()
         # a FIR band weight is checked before the design grid multiplies by it
         for band, value in (("stopband_weight", float("inf")), ("passband_weight", -1.0)):

@@ -1,16 +1,21 @@
-"""The numpy oracles against scipy's solvers on the same problems.
+"""The numpy oracles against scipy's solvers and optimality conditions.
 
 scatopt itself needs numpy alone; these tests import scipy.optimize to
-check the interior-point LP against HiGHS and the L-BFGS Huber oracle
-against L-BFGS-B.
+check the interior-point LP against HiGHS and the coordinate-descent Huber
+oracle against L-BFGS-B.  The exact-l1 oracle is checked by its
+subgradient conditions, and a scan of its source keeps `scatopt.oracles`
+from importing the engine code that the oracles check.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
 from scatopt import oracles
-from scatopt.problems import FirSpec, LassoInstance, design_grid
+from scatopt.problems import FirSpec, LassoInstance, SvmInstance, design_grid
 
 SPECS = {
     "default": FirSpec(),
@@ -107,17 +112,55 @@ class TestLassoHuber:
         inst = LassoInstance.random(seed=seed)
         sol = oracles.oracle_lasso_huber(inst)
         assert_matches_lbfgsb(inst, sol)
+        assert sol.extras["grad_norm"] <= 1e-10
 
-    def test_newton_finish_certifies_a_short_descent(self):
-        # 60 quasi-Newton steps stop above tol; L-BFGS alone stops near
-        # tol / 100, so a gradient norm far below that is the Newton finish's
-        inst = LassoInstance.random(m=100, n=500, seed=0, sparsity=10)
-        full = oracles.oracle_lasso_huber(inst)
-        short = oracles.oracle_lasso_huber(inst, max_iters=60)
-        assert short.extras["grad_norm"] <= 1e-10
-        np.testing.assert_allclose(short.x, full.x, rtol=0, atol=1e-8)
+    def test_certificate_raises_above_tol(self):
+        # steps of 1e-12 leave a gradient norm near 1e-11, far above this tol
+        with pytest.raises(oracles.OracleFailure, match="stalled at gradient norm"):
+            oracles.oracle_lasso_huber(LassoInstance.random(seed=0), tol=1e-300)
 
-    def test_newton_finish_from_wrong_pieces_raises(self):
-        # from x = 0 the notch pieces are wrong and the Newton step overshoots
-        with pytest.raises(oracles.OracleFailure, match="raised the gradient norm"):
-            oracles.oracle_lasso_huber(LassoInstance.random(seed=0), max_iters=0)
+
+class TestLasso:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_subgradient_conditions(self, seed):
+        # 0 is in lam sign(x_j) + g_j, with g = rho A^T (A x - y):
+        # g_j = -lam sign(x_j) off zero and |g_j| <= lam at zero
+        inst = LassoInstance.random(seed=seed)
+        lam = inst.l1_weight
+        x = oracles.oracle_lasso(inst).x
+        g = inst.residual_weight * inst.A.T @ (inst.A @ x - inst.y)
+        zero = x == 0.0
+        assert zero.any() and not zero.all()
+        np.testing.assert_allclose(g[~zero], -lam * np.sign(x[~zero]), rtol=0, atol=1e-9)
+        assert np.all(np.abs(g[zero]) <= lam + 1e-9)
+
+    def test_zero_residual_weight_keeps_zero(self):
+        # rho = 0 leaves lam ||x||_1 alone, minimized at x = 0; every c = 0
+        sol = oracles.oracle_lasso(LassoInstance.random(seed=0, residual_weight=0.0))
+        assert not sol.x.any() and sol.value == 0.0
+
+
+@pytest.mark.parametrize("max_iters", [0, 10])
+@pytest.mark.parametrize("oracle, make", [
+    (oracles.oracle_lasso_huber, LassoInstance.random),
+    (oracles.oracle_lasso, LassoInstance.random),
+    (oracles.oracle_svm_qp, SvmInstance.separable_blobs),
+], ids=["lasso_huber", "lasso", "svm"])
+def test_small_budget_raises(oracle, make, max_iters):
+    with pytest.raises(oracles.OracleFailure, match="stalled with step"):
+        oracle(make(seed=0), max_iters=max_iters)
+
+
+def test_oracles_import_no_engine_code():
+    # `scatopt compare` is an independent check only while the oracles
+    # share no code with the engine, its elements and its certificates
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert "problems" in names
+    assert not names & {"engine", "elements", "interconnect", "monitor"}

@@ -22,6 +22,7 @@ from scatopt.interconnect import (
     BlockReflection,
     FactoredReflection,
     check_orthonormal,
+    from_constraints,
 )
 from scatopt.pairs import Block
 from scatopt.problems import (
@@ -124,18 +125,23 @@ class TestBuilderInvariants:
         [
             (lambda: problems.build_lasso_huber(
                 LassoInstance(A=[[1.0, np.nan], [0.0, 1.0]], y=[1.0, 2.0])),
-             "constraint matrix A contains non-finite"),
+             "A and y must be finite"),
             (lambda: problems.build_lasso_huber(
                 LassoInstance(A=np.eye(2), y=[1.0, np.inf])),
-             "constraint offset contains non-finite"),
+             "A and y must be finite"),
             (lambda: problems.build_svm_decentralized(SvmInstance(
                 features=[[1.0, 0.0], [np.nan, 1.0], [0.0, -1.0]], labels=[1.0, -1.0, 1.0],
                 adjacency=np.ones((3, 3)) - np.eye(3))),
-             "constraint matrix A contains non-finite"),
+             "features must be finite"),
             (lambda: AffineInterconnection(np.array([[0.0, np.nan], [1.0, 0.0]]), np.zeros(2)),
              "G contains non-finite"),
+            (lambda: from_constraints(np.array([[1.0, np.nan]]), [0, 1], [2]),
+             "constraint matrix A contains non-finite"),
+            (lambda: from_constraints(np.eye(1), [0], [1], offset=[np.inf]),
+             "constraint offset contains non-finite"),
         ],
-        ids=["lasso_A", "lasso_y", "svm_features", "hand_built_G"],
+        ids=["lasso_A", "lasso_y", "svm_features", "hand_built_G", "constraints_A",
+             "constraints_offset"],
     )
     def test_non_finite_data_rejected(self, make, match):
         with pytest.raises(ValueError, match=match):
@@ -310,6 +316,17 @@ class TestLassoHuber:
             LassoInstance(A=np.eye(3), y=np.zeros(2))
         with pytest.raises(ValueError, match="nonnegative"):
             LassoInstance(A=np.eye(2), y=np.zeros(2), l1_weight=-1.0)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("l1_weight", np.nan, "l1_weight must be nonnegative and finite, got nan"),
+        ("residual_weight", np.inf, "residual_weight must be nonnegative and finite, got inf"),
+        ("huber_width", 0.0, "huber_width must be positive and finite, got 0.0"),
+        ("huber_width", np.inf, "huber_width must be positive and finite, got inf"),
+    ])
+    def test_non_finite_weights_rejected(self, field, value, match):
+        # with a NaN l1_weight the oracle's max(0, nan) would end its sweep as converged
+        with pytest.raises(ValueError, match=match):
+            LassoInstance.random(seed=0, **{field: value})
 
 
 class TestLassoAugmented:
@@ -504,6 +521,13 @@ class TestSvmConsensus:
             gaps.append(problems.consensus_gap(built, result.state.d))
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("field, value", [
+        ("hinge_weight", np.inf), ("hinge_weight", -1.0), ("coupling_weight", np.nan)])
+    def test_non_finite_weights_rejected(self, field, value):
+        # an infinite hinge_weight would run the oracle for seconds before it failed
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
+            SvmInstance.separable_blobs(seed=0, **{field: value})
+
     def test_disconnected_graph_rejected(self):
         adj = np.zeros((4, 4), dtype=int)
         adj[0, 1] = adj[1, 0] = 1
@@ -585,8 +609,8 @@ class TestOracles:
         assert sol.extras["grad_norm"] <= 1e-6
 
     def test_huber_oracle_newton_finish(self):
-        # the oracle certifies its gradient norm on a large, narrow-notch
-        # instance and agrees there with scipy's L-BFGS-B
+        # the coordinate descent certifies its gradient norm on a large,
+        # narrow-notch instance and agrees there with scipy's L-BFGS-B
         inst = LassoInstance.random(m=300, n=1500, seed=0, sparsity=10)
         sol = oracles.oracle_lasso_huber(inst)
         assert sol.extras["grad_norm"] <= 1e-6
