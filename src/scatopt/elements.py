@@ -234,6 +234,8 @@ class OneSidedPenalty:
         if self.side not in ("upper", "lower"):
             raise ValueError(f"side must be 'upper' or 'lower', got {self.side!r}")
         b = np.asarray(self.bound, dtype=float)
+        if not np.isfinite(b).all():
+            raise ValueError("bound must be finite")
         object.__setattr__(self, "bound", b if b.ndim else float(b))
 
     def prox(self, d):

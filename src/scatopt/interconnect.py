@@ -327,20 +327,21 @@ def _components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Nodes are numbered columns first, then rows, and each carries the root
     of its tree, a node of its component.  Each round finds every node's
-    least label among itself and its neighbours, by masked minimum
-    reductions over A's rows and columns; hooks every root onto the least
-    of these over its tree (a sorted `minimum.reduceat`); then jumps each
-    label to its root.  Trees merge with their neighbours every round, so
-    even a shuffled path of 4000 nodes settles in 10 rounds.
+    least label among itself and its neighbours, by minimum reductions
+    (`minimum.at`) from either end of A's nonzeros; hooks every root onto
+    the least of these over its tree (a sorted `minimum.reduceat`); then
+    jumps each label to its root.  Trees merge with their neighbours every
+    round, so even a shuffled path of 4000 nodes settles in 10 rounds.
     """
     m, nf = A.shape
-    joined = A != 0
+    rows, cols = np.nonzero(A)
+    rows += nf  # as node numbers: columns first, then rows
     top = nf + m
     label = np.arange(top)
     while True:
-        by_row = np.where(joined, label[:nf], top).min(axis=1, initial=top)
-        by_col = np.where(joined, label[nf:, None], top).min(axis=0, initial=top)
-        least = np.minimum(label, np.concatenate([by_col, by_row]))
+        least = label.copy()
+        np.minimum.at(least, rows, label[cols])
+        np.minimum.at(least, cols, label[rows])
         if np.array_equal(least, label):
             break
         order = np.argsort(label, kind="stable")
@@ -458,8 +459,7 @@ def from_constraints(
         raise ValueError("constraint offset contains non-finite entries")
 
     # each row's and column's component holds it and its neighbours, so the
-    # blocks hold at least n + 2 nnz(A) entries: past the cut, skip the
-    # labelling and its m x nf temporaries (a dense lasso's A, say)
+    # blocks hold at least n + 2 nnz(A) entries: past the cut, skip labelling
     if n + 2 * np.count_nonzero(A) <= BLOCK_SHARE * n * n:
         row_comp, col_comp = _components(A)
         sizes = np.bincount(np.concatenate([row_comp, col_comp]))

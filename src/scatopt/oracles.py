@@ -42,7 +42,8 @@ def _coordinate_descent(A, y, rho, step, tol, max_iters):
     `step(corr, c)` minimizes (c/2) t^2 - corr t + phi(t), with
     c = rho ||a_j||^2 and corr = rho a_j^T r, r the residual without
     coordinate j; coordinates with c = 0 stay at zero.  Returns x after the
-    first sweep whose largest step is at most `tol`, else OracleFailure.
+    first sweep whose largest step is at most `tol`; OracleFailure if none
+    does or a sweep leaves the residual non-finite (`max` skips a NaN step).
     """
     curv = rho * np.einsum("ij,ij->j", A, A)
     x = np.zeros(A.shape[1])
@@ -56,6 +57,8 @@ def _coordinate_descent(A, y, rho, step, tol, max_iters):
             x[j] = step(rho * A[:, j] @ r, curv[j])
             r -= A[:, j] * x[j]
             delta = max(delta, abs(x[j] - old))
+        if not np.isfinite(r).all():
+            raise OracleFailure("coordinate descent took a non-finite step")
         if delta <= tol:
             return x
     raise OracleFailure(f"coordinate descent stalled with step {delta:.3e}")

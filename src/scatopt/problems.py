@@ -1,16 +1,17 @@
 """Builders assembling the example systems from elements and an
 orthonormal interconnection, plus their instance data types.
 
-Each builder encodes a problem's linear structure as constraints
-z[resid] = A z[free] - data, takes as interconnection the reflection
-across that affine set (`from_constraints`), and attaches one constitutive
-relation per coordinate block.  Variables that appear in
-several cost terms (consensus copies, two-sided envelopes) are duplicated
-through the interconnection so element blocks stay disjoint.
+Each builder takes its coordinates from a `_Layout`, records its linear
+structure there as constraints z[resid] = A z[free] - data, and takes as
+interconnection the layout's `reflection` across that affine set (the
+lassos pass their dense A to `from_constraints` directly).  One relation
+is attached per coordinate block; variables that appear in several cost
+terms are duplicated through the interconnection so blocks stay disjoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .elements import (
     SoftThreshold,
     _check,
 )
-from .interconnect import from_constraints
+from .interconnect import _components, from_constraints
 from .pairs import Block
 from .engine import System
 
@@ -72,6 +73,50 @@ class BuiltProblem:
     def solution(self, d: np.ndarray) -> dict:
         z = self.primal(d)
         return {key: z[sel] for key, sel in self.layout.items()}
+
+
+class _Layout:
+    """A system's coordinates, handed out in order, and the linear
+    constraints among them, whose reflection is the interconnection."""
+
+    def __init__(self):
+        self.dim, self._rows = 0, []  # (coords, over, coef, offset) per `rows` call
+
+    def take(self, *shape) -> np.ndarray:
+        """The next coordinates, as an int array of the given shape."""
+        self.dim += (size := math.prod(shape))
+        return np.arange(self.dim - size, self.dim).reshape(shape)
+
+    def rows(self, coords, over, coef=1.0, offset=0.0) -> None:
+        """Constrain z[coords] = (coef * z[over]).sum(-1) - offset, with
+        `over` and `coef` broadcast against coords[..., None] (a copy passes
+        over[..., None]) and `offset` against coords."""
+        named = np.concatenate([c.ravel() for c, *_ in self._rows] + [np.ravel(coords)])
+        if np.bincount(named).max(initial=0) > 1:
+            raise ValueError("a coordinate is constrained twice")
+        self._rows.append((np.asarray(coords), over, coef, offset))
+
+    def reflection(self):
+        """`from_constraints` with every coordinate that no row names free,
+        the free and the residual coordinates each in ascending order."""
+        is_resid = np.zeros(self.dim, dtype=bool)
+        for coords, *_ in self._rows:
+            is_resid[coords] = True
+        free, resid = np.flatnonzero(~is_resid), np.flatnonzero(is_resid)
+        pos = np.empty(self.dim, dtype=int)  # a coordinate's column of A, or its row
+        pos[free], pos[resid] = np.arange(free.size), np.arange(resid.size)
+        A, v = np.zeros((resid.size, free.size)), np.zeros(resid.size)
+        for coords, over, coef, offset in self._rows:
+            if is_resid[over].any():
+                raise ValueError("a constraint reads a constrained coordinate")
+            A[pos[coords][..., None], pos[over]] = coef
+            v[pos[coords]] = offset
+        return from_constraints(A, free, resid, offset=v)
+
+
+def _span(coords: np.ndarray) -> slice:
+    """The slice of a run of consecutive coordinates."""
+    return slice(int(coords[0]), int(coords[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,41 +265,48 @@ def cosine_coefficients_to_taps(coeffs: np.ndarray) -> np.ndarray:
     return taps
 
 
-def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
-    """Single-interconnection minimax design: grid errors and the ripple
-    bound share one max-abs epigraph element."""
+def _build_minimax(spec: FirSpec, split: bool, coupling_weight=0.0) -> BuiltProblem:
+    """Minimax design over the whole grid, or split per band: each band owns
+    a copy of the coefficients and one max-abs epigraph over its grid errors
+    and ripple bound; split, coupling pairs tie the copies and the bounds."""
     K = spec.half_taps
     omega, desired, weights, n_pass = design_grid(spec)
-    ng = omega.size
-    C = _cosine_matrix(omega, K)
-    N = K + ng + 1
-    delta_idx = K + ng
-    # e = W (C h - desired); h and the bound are free coordinates
-    A = np.column_stack([weights[:, None] * C, np.zeros(ng)])
-    free = np.concatenate([np.arange(K), [delta_idx]])
-    resid = np.arange(K, K + ng)
-    ic = from_constraints(A, free, resid, offset=weights * desired)
-    bound_cost = np.zeros(N)
-    bound_cost[delta_idx] = 1.0  # minimize the ripple bound
-    elements = (
-        Element(Quadratic(0.0), Block(0, K)),
-        Element(LinfEpigraph(), Block(K, ng + 1)),
-    )
-    layout = {
-        "coefficients": slice(0, K),
-        "errors": slice(K, K + ng),
-        "bound": delta_idx,
-    }
-    extras = {"omega": omega, "desired": desired, "weights": weights, "cosines": C,
-              "n_pass": n_pass}
+    bands = {"_pass": np.s_[:n_pass], "_stop": np.s_[n_pass:]} if split else {"": np.s_[:]}
+    lay = _Layout()
+    coeffs = lay.take(len(bands), K)
+    free_rel, epigraph, pair = Quadratic(0.0), LinfEpigraph(), PairCoupling(coupling_weight)
+    elements = [Element(free_rel, Block(h[0], K)) for h in coeffs]
+    layout = {f"coefficients{x}": _span(h) for x, h in zip(bands, coeffs)}
+    for h, (x, band) in zip(coeffs, bands.items()):
+        C = _cosine_matrix(omega[band], K)
+        errors, bound = lay.take(C.shape[0]), lay.take()
+        lay.rows(errors, h, weights[band, None] * C, weights[band] * desired[band])  # W (C h - t)
+        elements.append(Element(epigraph, Block(errors[0], errors.size + 1)))  # errors, bound
+        layout[f"errors{x}"], layout[f"bound{x}"] = _span(errors), int(bound)
+    bounds = np.array([layout[f"bound{x}"] for x in bands])
+    extras = {"omega": omega, "desired": desired, "weights": weights, "n_pass": n_pass,
+              **({"coupling_weight": coupling_weight} if split else {"cosines": C})}
+    if split:
+        pairs = lay.take(K + 1, len(bands))  # (pass copy, stop copy) of each coefficient and bound
+        lay.rows(pairs, np.vstack([coeffs.T, bounds])[..., None])
+        elements += [Element(pair, Block(p[0], 2)) for p in pairs]
+    bound_cost = np.zeros(lay.dim)
+    bound_cost[bounds] = 1.0  # minimize the ripple bounds
     return BuiltProblem(
-        name="minimax_fir",
-        system=System(ic, elements, linear_cost=bound_cost),
+        name="minimax_fir_split" if split else "minimax_fir",
+        system=System(lay.reflection(), elements, linear_cost=bound_cost),
         instance=spec,
         layout=layout,
         extras=extras,
-        objective=lambda z: float(z[delta_idx]),
+        # the mean bound; a sum from -0.0 keeps the sign of a zero bound
+        objective=lambda z: float(z[bounds].sum(initial=-0.0)) / len(bounds),
     )
+
+
+def build_minimax_fir(spec: FirSpec) -> BuiltProblem:
+    """Single-interconnection minimax design: grid errors and the ripple
+    bound share one max-abs epigraph element."""
+    return _build_minimax(spec, split=False)
 
 
 def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> BuiltProblem:
@@ -263,70 +315,7 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
     coordinatewise through coupling elements."""
     if coupling_weight < 0:
         raise ValueError("coupling_weight must be nonnegative")
-    K = spec.half_taps
-    omega, desired, weights, n_pass = design_grid(spec)
-    n_stop = omega.size - n_pass
-    Cp = _cosine_matrix(omega[:n_pass], K)
-    Cs = _cosine_matrix(omega[n_pass:], K)
-    wp, ws_ = weights[:n_pass], weights[n_pass:]
-    tp, ts = desired[:n_pass], desired[n_pass:]
-
-    # coordinate map
-    hp = np.arange(0, K)
-    hs = np.arange(K, 2 * K)
-    ep = np.arange(2 * K, 2 * K + n_pass)
-    dp = 2 * K + n_pass
-    es = np.arange(dp + 1, dp + 1 + n_stop)
-    ds = dp + 1 + n_stop
-    pair_base = ds + 1
-    n_pairs = K + 1
-    N = pair_base + 2 * n_pairs
-
-    free = np.concatenate([hp, hs, [dp], [ds]])
-    resid = np.concatenate([ep, es, np.arange(pair_base, N)])
-    nf = len(free)
-    A = np.zeros((len(resid), nf))
-    # free column order: hp (0..K), hs (K..2K), dp (2K), ds (2K+1)
-    A[:n_pass, :K] = wp[:, None] * Cp
-    A[n_pass : n_pass + n_stop, K : 2 * K] = ws_[:, None] * Cs
-    row = n_pass + n_stop
-    for k in range(K):
-        A[row, k] = 1.0  # copy of the passband coefficient
-        A[row + 1, K + k] = 1.0  # copy of the stopband coefficient
-        row += 2
-    A[row, 2 * K] = 1.0
-    A[row + 1, 2 * K + 1] = 1.0
-    offset = np.concatenate([wp * tp, ws_ * ts, np.zeros(2 * n_pairs)])
-
-    ic = from_constraints(A, free, resid, offset=offset)
-    bound_cost = np.zeros(N)
-    bound_cost[[dp, ds]] = 1.0  # minimize both ripple bounds
-    free_rel, epigraph, pair = Quadratic(0.0), LinfEpigraph(), PairCoupling(coupling_weight)
-    elements = [
-        Element(free_rel, Block(0, K)),
-        Element(free_rel, Block(K, K)),
-        Element(epigraph, Block(2 * K, n_pass + 1)),
-        Element(epigraph, Block(dp + 1, n_stop + 1)),
-    ]
-    elements += [Element(pair, Block(pair_base + 2 * i, 2)) for i in range(n_pairs)]
-    layout = {
-        "coefficients_pass": slice(0, K),
-        "coefficients_stop": slice(K, 2 * K),
-        "errors_pass": slice(2 * K, 2 * K + n_pass),
-        "bound_pass": dp,
-        "errors_stop": slice(dp + 1, dp + 1 + n_stop),
-        "bound_stop": ds,
-    }
-    extras = {"omega": omega, "desired": desired, "weights": weights, "n_pass": n_pass,
-              "coupling_weight": coupling_weight}
-    return BuiltProblem(
-        name="minimax_fir_split",
-        system=System(ic, elements, linear_cost=bound_cost),
-        instance=spec,
-        layout=layout,
-        extras=extras,
-        objective=lambda z: float(z[dp] + z[ds]) / 2.0,
-    )
+    return _build_minimax(spec, split=True, coupling_weight=coupling_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +340,8 @@ def make_regular_graph(n: int = 30, degree: int = 4) -> np.ndarray:
 
 
 def _connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-    return bool(seen.all())
+    # with the diagonal, row i and column i share a component
+    return not _components((adj != 0) | np.eye(len(adj), dtype=bool))[0].any()
 
 
 @dataclass
@@ -387,8 +367,8 @@ class SvmInstance:
             raise ValueError("features must be finite")
         _check(self.coupling_weight, "coupling_weight")
         _check(self.hinge_weight, "hinge_weight")
-        if self.adjacency.shape != (n, n):
-            raise ValueError("adjacency must be square over the agents")
+        if self.adjacency.shape != (n, n) or (self.adjacency != self.adjacency.T).any():
+            raise ValueError("adjacency must be square over the agents and symmetric")
         if not _connected(self.adjacency):
             raise ValueError("communication graph is not connected")
 
@@ -418,46 +398,25 @@ class SvmInstance:
 def build_svm_decentralized(inst: SvmInstance) -> BuiltProblem:
     """Per-agent classifier copies with hinge losses on local margins and
     coupling of neighboring copies across every graph edge."""
-    n = inst.n_agents
-    d_feat = inst.features.shape[1]
-    per_agent = d_feat + 2  # w, b, margin
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if inst.adjacency[i, j]]
-    n_edge = len(edges)
-    coords_per_edge = 2 * (d_feat + 1)
-    agent_base = np.arange(n) * per_agent
-    pair_base = n * per_agent
-    N = pair_base + n_edge * coords_per_edge
-
-    # free: every agent's (w, b); resid: its margin, then every pair coordinate
-    free = (agent_base[:, None] + np.arange(d_feat + 1)).ravel()
-    resid = np.concatenate([agent_base + d_feat + 1, np.arange(pair_base, N)])
-    cols = np.arange(len(free)).reshape(n, d_feat + 1)  # column of agent i's (w, b)_k
-
-    # margin_i = y_i (x_i . w_i + b_i); pair (u, v) of edge (i, j) copies (w_i, w_j)_k
-    A = np.zeros((len(resid), len(free)))
-    A[np.arange(n)[:, None], cols] = inst.labels[:, None] * np.c_[inst.features, np.ones(n)]
-    ij = np.asarray(edges, dtype=int).reshape(n_edge, 2)
-    rows = n + 2 * np.arange(n_edge * (d_feat + 1)).reshape(n_edge, d_feat + 1)
-    A[rows, cols[ij[:, 0]]] = 1.0
-    A[rows + 1, cols[ij[:, 1]]] = 1.0
-    ic = from_constraints(A, free, resid, offset=None)
+    n, d_feat = inst.features.shape
+    edges = np.argwhere(np.triu(inst.adjacency, 1))
+    lay = _Layout()
+    agents = lay.take(n, d_feat + 2)  # per agent: w, b, margin
+    wb = agents[:, : d_feat + 1]
+    # margin_i = y_i (x_i . w_i + b_i)
+    lay.rows(agents[:, -1], wb, inst.labels[:, None] * np.c_[inst.features, np.ones(n)])
+    # the pair (u, v) of edge (i, j) and coordinate k copies ((w, b)_ik, (w, b)_jk)
+    pairs = lay.take(len(edges), d_feat + 1, 2)
+    lay.rows(pairs, wb[edges].swapaxes(1, 2)[..., None])
 
     # one relation object per parameter set, bound to every block it governs
     ridge, free_rel = Quadratic(1.0 / n, 0.0), Quadratic(0.0)
     hinge, pair = Hinge(inst.hinge_weight), PairCoupling(inst.coupling_weight)
-    elements = []
-    for i in range(n):
-        elements.append(Element(ridge, Block(agent_base[i], d_feat)))
-        elements.append(Element(free_rel, Block(agent_base[i] + d_feat, 1)))
-        elements.append(Element(hinge, Block(agent_base[i] + d_feat + 1, 1)))
-    elements += [Element(pair, Block(pair_base + 2 * k, 2)) for k in range(n_edge * (d_feat + 1))]
-    w_idx = np.stack([agent_base + k for k in range(d_feat)], axis=1)
-    layout = {
-        "weights": w_idx,
-        "biases": agent_base + d_feat,
-        "margins": agent_base + d_feat + 1,
-    }
-    system = System(ic, elements)
+    elements = [Element(rel, Block(a[k], size)) for a in agents
+                for rel, k, size in ((ridge, 0, d_feat), (free_rel, d_feat, 1), (hinge, -1, 1))]
+    elements += [Element(pair, Block(p[0], 2)) for p in pairs.reshape(-1, 2)]
+    layout = {"weights": agents[:, :d_feat], "biases": agents[:, d_feat], "margins": agents[:, -1]}
+    system = System(lay.reflection(), elements)
     return BuiltProblem(
         name="svm_consensus",
         system=system,
@@ -556,21 +515,16 @@ def build_sparse_equalizer(inst: EqualizerInstance) -> BuiltProblem:
     n = inst.num_taps
     T = _convolution_matrix(inst.channel, n)
     m = T.shape[0]
-    N = n + 2 * m
-    A = np.vstack([T, T])
-    free = np.arange(n)
-    resid = np.arange(n, N)
-    ic = from_constraints(A, free, resid, offset=None)
-    system = System(ic, (
-        Element(CappedL1(inst.cap_height, inst.notch_width), Block(0, n)),
-        Element(OneSidedPenalty(inst.upper_weight, inst.upper_env, "upper"), Block(n, m)),
-        Element(OneSidedPenalty(inst.lower_weight, inst.lower_env, "lower"), Block(n + m, m)),
+    lay = _Layout()
+    taps, outputs = lay.take(n), lay.take(2, m)
+    lay.rows(outputs, taps, T)
+    out, mirror = outputs  # the cascade output and its mirror
+    system = System(lay.reflection(), (
+        Element(CappedL1(inst.cap_height, inst.notch_width), Block(taps[0], n)),
+        Element(OneSidedPenalty(inst.upper_weight, inst.upper_env, "upper"), Block(out[0], m)),
+        Element(OneSidedPenalty(inst.lower_weight, inst.lower_env, "lower"), Block(mirror[0], m)),
     ))
-    layout = {
-        "taps": slice(0, n),
-        "output": slice(n, n + m),
-        "output_mirror": slice(n + m, N),
-    }
+    layout = {"taps": _span(taps), "output": _span(out), "output_mirror": _span(mirror)}
     return BuiltProblem(
         name="sparse_equalizer",
         system=system,

@@ -151,6 +151,19 @@ class TestRunCommand:
             assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1, bad
             assert capsys.readouterr().err.startswith(f"error: {next(iter(bad))} must be "), bad
 
+    def test_nan_envelope_exit_code(self, tmp_path, capsys):
+        # JSON `NaN` is read as a float; the envelope fails before the solve
+        m = problems.default_instance("sparse_equalizer").upper_env.size
+        cfg_path = tmp_path / "cfg.json"
+        envelope = [float("nan")] + [1.0] * (m - 1)
+        cfg_path.write_text(json.dumps({"instance": {"upper_env": envelope}}))
+        out = tmp_path / "eq"
+        assert main(["run", "--problem", "sparse_equalizer", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: invalid instance parameters: bound must be finite\n"
+        assert not (out / "summary.json").exists()
+
     def test_invalid_p_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"mode": "async", "p": 0.0}))

@@ -223,6 +223,12 @@ class TestOneSidedPenalty:
         with pytest.raises(ValueError, match="side"):
             OneSidedPenalty(1.0, 0.0, "sideways")
 
+    @pytest.mark.parametrize("bound", [float("nan"), -float("inf"), np.array([0.0, np.nan])],
+                             ids=["nan", "inf", "array_nan"])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be finite"):
+            OneSidedPenalty(1.0, bound, "lower")
+
 
 class TestCappedL1:
     def test_zero_fixed(self):

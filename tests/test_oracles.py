@@ -139,6 +139,14 @@ class TestLasso:
         sol = oracles.oracle_lasso(LassoInstance.random(seed=0, residual_weight=0.0))
         assert not sol.x.any() and sol.value == 0.0
 
+    def test_nan_step_raises(self):
+        # the instance checks its weights when built, not when set later;
+        # a NaN threshold makes every step NaN, which `max` would pass over
+        inst = LassoInstance.random(seed=0)
+        inst.l1_weight = float("nan")
+        with pytest.raises(oracles.OracleFailure, match="non-finite step"):
+            oracles.oracle_lasso(inst)
+
 
 @pytest.mark.parametrize("max_iters", [0, 10])
 @pytest.mark.parametrize("oracle, make", [

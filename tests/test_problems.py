@@ -421,6 +421,15 @@ class TestMinimaxFir:
 
 
 class TestMinimaxFirSplit:
+    def test_objective_is_the_mean_bound(self, fir_spec, fir_built):
+        # the objective feeds trace.csv, so it must keep a zero bound's sign
+        split = problems.build_minimax_fir_split(fir_spec)
+        for built, bounds in ((fir_built, ["bound"]), (split, ["bound_pass", "bound_stop"])):
+            z = np.random.default_rng(3).normal(size=built.system.dim)
+            at = [z[built.layout[key]] for key in bounds]
+            assert built.objective(z) == sum(at[1:], at[0]) / len(at)
+            assert str(built.objective(np.full(built.system.dim, -0.0))) == "-0.0"
+
     def test_close_to_unsplit(self, fir_spec, fir_built):
         unsplit = solve(fir_built)
         z = fir_built.primal(unsplit.state.d)
@@ -473,6 +482,12 @@ class TestRegularGraph:
         from scatopt.problems import _connected
 
         assert _connected(make_regular_graph(30, 4))
+        assert _connected(np.zeros((1, 1), dtype=int))
+        # two 5-cycles, apart and with their nodes interleaved
+        two = np.kron(np.eye(2, dtype=int), make_regular_graph(5, 2))
+        order = np.random.default_rng(0).permutation(10)
+        assert not _connected(two)
+        assert not _connected(two[order][:, order])
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="degree"):
@@ -481,12 +496,79 @@ class TestRegularGraph:
             make_regular_graph(4, 4)
 
 
+class TestLayout:
+    """`problems._Layout` hands out coordinates in order and writes its rows
+    into the dense A and offset that `from_constraints` receives."""
+
+    @staticmethod
+    def assembled(lay, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(problems, "from_constraints",
+                            lambda A, free, resid, offset: seen.update(
+                                A=A, free=free, resid=resid, offset=offset))
+        lay.reflection()
+        return seen
+
+    def test_free_coordinates_are_the_complement(self, monkeypatch):
+        lay = problems._Layout()
+        a, b = lay.take(4), lay.take(2, 3)
+        assert a.tolist() == [0, 1, 2, 3] and b.tolist() == [[4, 5, 6], [7, 8, 9]]
+        assert lay.take().shape == () and lay.dim == 11
+        coef = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        lay.rows(np.array([8, 1, 5]), np.array([0, 10]), coef)
+        got = self.assembled(lay, monkeypatch)
+        np.testing.assert_array_equal(got["free"], [0, 2, 3, 4, 6, 7, 9, 10])
+        np.testing.assert_array_equal(got["resid"], [1, 5, 8])
+        # rows in ascending residual order, terms in the columns of 0 and 10
+        expected = np.zeros((3, 8))
+        expected[:, [0, 7]] = coef[[1, 2, 0]]
+        np.testing.assert_array_equal(got["A"], expected)
+
+    def test_matrix_rows_and_copies_broadcast(self, monkeypatch):
+        lay = problems._Layout()
+        h, e, m, pairs = lay.take(3), lay.take(2), lay.take(2), lay.take(3, 2)
+        # shared terms: z[e] = M z[h] - t
+        lay.rows(e, h, np.arange(6.0).reshape(2, 3), offset=np.array([0.5, -1.0]))
+        # rows with terms of their own: z[m_0] = z[h_0] - z[h_1] - 7
+        # and z[m_1] = 2 z[h_1] + 3 z[h_2] - 7
+        lay.rows(m, np.array([[0, 1], [1, 2]]), np.array([[1.0, -1.0], [2.0, 3.0]]), offset=7.0)
+        # copies: both coordinates of pair k hold 2 z[h_k]
+        lay.rows(pairs, np.column_stack([h, h])[..., None], coef=2.0)
+        got = self.assembled(lay, monkeypatch)
+        np.testing.assert_array_equal(got["free"], h)
+        np.testing.assert_array_equal(got["resid"], np.r_[e, m, pairs.ravel()])
+        copies = np.repeat(2.0 * np.eye(3), 2, axis=0)
+        np.testing.assert_array_equal(got["A"], np.vstack([
+            np.arange(6.0).reshape(2, 3), [[1.0, -1.0, 0.0], [0.0, 2.0, 3.0]], copies]))
+        np.testing.assert_array_equal(got["offset"], np.r_[0.5, -1.0, 7.0, 7.0, np.zeros(6)])
+
+    def test_coordinate_constrained_twice(self, monkeypatch):
+        lay = problems._Layout()
+        h, e = lay.take(2), lay.take(3)
+        lay.rows(e[:2], h, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="constrained twice"):
+            lay.rows(e[1:], h, np.full((2, 2), 5.0))
+        with pytest.raises(ValueError, match="constrained twice"):
+            lay.rows(e[[2, 2]], h, np.full((2, 2), 5.0))
+        # the refused rows left no trace
+        got = self.assembled(lay, monkeypatch)
+        np.testing.assert_array_equal(got["resid"], e[:2])
+        np.testing.assert_array_equal(got["A"], np.ones((2, 3)) * [1.0, 1.0, 0.0])
+        # a row may read only free coordinates
+        lay.rows(e[2:], e[:1, None])
+        with pytest.raises(ValueError, match="reads a constrained coordinate"):
+            lay.reflection()
+
+
 class TestSvmConsensus:
     def test_structure(self, svm_built):
         inst = svm_built.instance
         assert inst.n_agents == 30
         assert np.all(inst.adjacency.sum(axis=1) == 4)
         assert len(svm_built.extras["edges"]) == 60
+        adj = inst.adjacency
+        assert [tuple(e) for e in svm_built.extras["edges"]] == [
+            (i, j) for i in range(30) for j in range(i + 1, 30) if adj[i, j]]
 
     def test_identical_agents_reach_symmetric_consensus(self):
         # every agent holds the same training vector, so by symmetry all
@@ -527,6 +609,14 @@ class TestSvmConsensus:
         # an infinite hinge_weight would run the oracle for seconds before it failed
         with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
             SvmInstance.separable_blobs(seed=0, **{field: value})
+
+    @pytest.mark.parametrize("k", [1, -1], ids=["upper", "lower"])
+    def test_asymmetric_graph_rejected(self, k):
+        # a path stored on one side of the diagonal only: the edge list
+        # reads the upper triangle, so a lower one would couple no agents
+        with pytest.raises(ValueError, match="symmetric"):
+            SvmInstance(features=np.zeros((4, 2)), labels=np.array([1.0, -1.0, 1.0, -1.0]),
+                        adjacency=np.eye(4, k=k, dtype=int))
 
     def test_disconnected_graph_rejected(self):
         adj = np.zeros((4, 4), dtype=int)
