@@ -4,18 +4,18 @@ The interconnection maps the elements' c-outputs to their d-inputs,
 d = G c + s, where G is norm-preserving.  For a problem's linear
 constraints z[resid] = A z[free] - v, the map c -> G c + s is the
 reflection across that affine set, computed in closed form by
-`from_constraints` with one solve of the smaller Gram matrix, I + A A^T
-or I + A^T A.  The reflection is kept in one of three forms, chosen by
-the sizes of the constraint graph's connected components and by N:
+`from_constraints` from the smaller Gram matrix K, I + A A^T or
+I + A^T A.  The reflection is kept in one of three forms, chosen by the
+sizes of the constraint graph's connected components and by N:
 - a `BlockReflection` when the components' blocks hold at most
   `BLOCK_SHARE` of G's entries (the decentralized SVM, one block per
-  agent): each block is built alone and a product is one batched matmul
-  per block size;
+  agent): each block is built alone by one solve with K and a product is
+  one batched matmul per block size;
 - else a stored dense G up to `DENSE_MAX_DIM` coordinates (every other
-  shipped default problem);
-- else a `FactoredReflection` G = sign (I - 2 L R), the two thin factors
-  of the Gram solve taking O(N k) memory and time per apply, k the
-  smaller Gram size, where a dense G takes O(N^2).
+  shipped default problem), built by one solve with K;
+- else a `FactoredReflection` holding A, the index sets and K^-1, k x k
+  for k = min(m, nf): O(m nf + k^2) memory and time per apply, one
+  product each with A, K^-1 and A^T, where a dense G takes O(N^2).
 The block and factored forms form the dense G only when it is read.
 
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
@@ -27,7 +27,7 @@ at run time calls them; they stay as the tests' reference for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,11 +93,12 @@ BLOCK_SHARE = 1 / 8
 # entries, 2 MB) and as a `FactoredReflection` above.  The cut keeps every
 # default problem (N <= 480) on the stored G and its results unchanged; it
 # is not the speed crossover, which moves with the Gram size k.  On one
-# BLAS thread a factored apply costs 1.4-2.7x a dense one on the default
-# problems of N <= 137 and overtakes it near N = 200 for a lasso with
-# k = N/6, and desk-workload runs of every default problem took 7 % longer
-# factored.  At the scale lasso's N = 2400 the factored apply streams 15 MB
-# per call against the dense G's 46 MB, in a third of the time.
+# BLAS thread of a 2-vCPU x86 box a factored apply costs 16-18 us, 2.8-5.5x
+# a dense one, on the default problems of N <= 164, and overtakes it
+# between N = 300 and 480 for a lasso with k = N/6.  At the scale lasso's
+# N = 2400 (k = 400) it reads A twice and K^-1 once, 14 MB per call against
+# the dense G's 46 MB, in 0.60 ms against 1.88 ms; its build, one Gram
+# product and one k x k inverse, takes 22-29 ms.
 DENSE_MAX_DIM = 512
 
 
@@ -223,38 +224,84 @@ class BlockReflection(_FormedOnRead):
 
 @dataclass(frozen=True)
 class FactoredReflection(_FormedOnRead):
-    """The map c -> G c + s with G = sign (I - 2 L R) kept as its factors.
+    """The map c -> G c + s with G = sign (I - 2 L K^-1 L^T) the reflection
+    across {z : z[resid] = A z[free] - v}, kept as A, the index sets and
+    `gram_inv` = K^-1 (k x k, k = min(m, nf)); L (N x k) is never formed.
 
-    L is (N, k) and R is (k, N); sign is +1 or -1.
+    With m <= nf constraints, L = [A | -I]^T and K = I + A A^T in (free,
+    resid) order and sign = +1; with more, L = [I; A] and K = I + A^T A and
+    sign = -1.  The arrays are held as given: `from_constraints` passes
+    read-only copies, which `dataclasses.replace` shares.
     """
 
     G: np.ndarray = field(init=False, repr=False, compare=False)
-    L: np.ndarray
-    R: np.ndarray
-    sign: float
+    A: np.ndarray
+    free: np.ndarray
+    resid: np.ndarray
+    gram_inv: np.ndarray
 
     def __post_init__(self):
         s = _checked_offset(self.s)
-        L = np.asarray(self.L, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if L.ndim != 2 or s.shape != L.shape[:1] or R.shape != L.shape[::-1]:
+        A = np.asarray(self.A, dtype=float)
+        free = np.asarray(self.free, dtype=np.intp)
+        resid = np.asarray(self.resid, dtype=np.intp)
+        gram_inv = np.asarray(self.gram_inv, dtype=float)
+        m, nf = A.shape if A.ndim == 2 else (-1, -1)
+        if (free.shape != (nf,) or resid.shape != (m,) or s.shape != (m + nf,)
+                or gram_inv.shape != (min(m, nf),) * 2):
             raise ValueError(
-                f"factor shapes {L.shape} and {R.shape} do not match offset shape {s.shape}"
+                f"A {A.shape}, free {free.shape}, resid {resid.shape}, gram_inv "
+                f"{gram_inv.shape} and offset {s.shape} do not match"
             )
-        if self.sign not in (1.0, -1.0):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        for name, M in (("L", L), ("R", R)):
+        if not np.array_equal(np.sort(np.concatenate([free, resid])), np.arange(m + nf)):
+            raise ValueError(f"free and resid do not partition the {m + nf} coordinates")
+        for name, M in (("A", A), ("gram_inv", gram_inv)):
             if not np.all(np.isfinite(M)):
-                raise ValueError(f"factor {name} contains non-finite entries")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "R", R)
+                raise ValueError(f"{name} contains non-finite entries")
+        for name, value in (("s", s), ("A", A), ("free", free), ("resid", resid),
+                            ("gram_inv", gram_inv)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def sign(self) -> float:
+        m, nf = self.A.shape
+        return 1.0 if m <= nf else -1.0
+
+    def _gram_side(self, c: np.ndarray) -> np.ndarray:
+        """L^T c, (..., N) -> (..., k)."""
+        cf, cr = c[..., self.free], c[..., self.resid]
+        return cf @ self.A.T - cr if self.sign > 0 else cf + cr @ self.A
+
+    def _lift(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L w, (..., k) -> (..., N), into `out` or a fresh array."""
+        if out is None:
+            out = np.empty(w.shape[:-1] + self.s.shape)
+        if self.sign > 0:
+            out[..., self.free] = w @ self.A
+            out[..., self.resid] = -w
+        else:
+            out[..., self.free] = w
+            out[..., self.resid] = w @ self.A.T
+        return out
 
     def _dense(self) -> np.ndarray:
-        return _reflection(self.L, self.R, self.sign)
+        # sign (I - 2 L M) with M = K^-1 L^T, the one (k, N) temporary beside
+        # G: G is symmetric, so its rows are L applied to M's columns, lifted
+        # a few at a time
+        M = self._lift(self.gram_inv)
+        G = np.empty((self.dim, self.dim))
+        for r in range(0, self.dim, 64):
+            self._lift(M[:, r : r + 64].T, out=G[r : r + 64])
+        G *= -2.0 * self.sign
+        diag = np.arange(self.dim)
+        G[diag, diag] += self.sign
+        return G
 
     def _product(self, c: np.ndarray) -> np.ndarray:
-        return self.sign * (c - 2.0 * (self.L @ (self.R @ c.T)).T)
+        # G c = sign c + L w with w = -2 sign K^-1 L^T c
+        w = self._gram_side(c) @ self.gram_inv.T
+        w *= -2.0 * self.sign
+        return self._lift(w) + self.sign * c
 
 
 @dataclass(frozen=True)
@@ -407,6 +454,22 @@ def _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp) -> BlockRef
     )
 
 
+def _factored_reflection(A, free_idx, resid_idx, v) -> FactoredReflection:
+    """The reflection kept as read-only copies of A and the index sets and
+    the inverse of the smaller Gram matrix, with s = z0 - G z0 from the
+    projection u = L K^-1 L^T z0 of the set's point z0 = (0, -v)."""
+    m, nf = A.shape
+    gram = np.eye(nf) + A.T @ A if nf < m else np.eye(m) + A @ A.T
+    held = [A.copy(), free_idx.copy(), resid_idx.copy(), np.linalg.inv(gram)]
+    for M in held:
+        M.flags.writeable = False
+    ic = FactoredReflection(np.zeros(m + nf), *held)
+    z0 = np.zeros(m + nf)
+    z0[resid_idx] = -v
+    u = ic._lift(ic._gram_side(z0) @ ic.gram_inv.T)
+    return replace(ic, s=2.0 * u if ic.sign > 0 else 2.0 * (z0 - u))
+
+
 def from_constraints(
     A: np.ndarray,
     free_idx: np.ndarray,
@@ -417,9 +480,8 @@ def from_constraints(
 
     G c + s is the reflection of c across the affine set {z : C z = v},
     where C = [A | -I] in (free, resid) column order and v the offset.
-    It is computed with one solve of the smaller of the two Gram matrices:
-    with no more constraints than free coordinates, from the constraint
-    normals,
+    It is computed from the smaller of the two Gram matrices: with no
+    more constraints than free coordinates, from the constraint normals,
         G = I - 2 C^T K^-1 C,   s = 2 C^T K^-1 v,   K = C C^T = I + A A^T;
     with more, from the set's parametrization z = B x + z0, where
     B = [I; A] in (free, resid) row order and z0 = (0, -v),
@@ -432,9 +494,12 @@ def from_constraints(
     `BLOCK_SHARE` of the N^2 entries, each is built alone by the same
     closed form, equal shapes in one stacked solve, and the map is a
     `BlockReflection`.  Otherwise G is stored up to `DENSE_MAX_DIM`
-    coordinates; above, the build stops after the Gram solve and returns
-    the `FactoredReflection` G = sign (I - 2 L R), with (L, R, sign) =
-    (C^T, K^-1 C, +1) or (B, X, -1), and s = z0 - G z0.
+    coordinates, from one solve with the Gram matrix for X and X z0 (or
+    K^-1 C and K^-1 C z0).  Above, the build solves no system: it inverts
+    the Gram matrix once and returns the `FactoredReflection` holding
+    read-only copies of A, the index sets and that inverse, with
+    G = sign (I - 2 L K^-1 L^T), (L, sign) = (C^T, +1) or (B, -1), and
+    s = z0 - G z0 from the projection of z0.
     G is symmetric, orthonormal and an involution, and every point of the
     constraint set is fixed.  This equals the paper's construction, the
     Cayley transform of the skew core holding A with the residual columns
@@ -465,7 +530,7 @@ def from_constraints(
         sizes = np.bincount(np.concatenate([row_comp, col_comp]))
         if (sizes**2).sum() <= BLOCK_SHARE * n * n:
             return _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp)
-    L, R, sign, s = _closed_form(A, free_idx, resid_idx, v)
     if n > DENSE_MAX_DIM:
-        return FactoredReflection(s=s, L=L, R=R, sign=sign)
+        return _factored_reflection(A, free_idx, resid_idx, v)
+    L, R, sign, s = _closed_form(A, free_idx, resid_idx, v)
     return AffineInterconnection(G=_reflection(L, R, sign), s=s)

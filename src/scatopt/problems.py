@@ -440,10 +440,9 @@ def consensus_gap(problem: BuiltProblem, d: np.ndarray) -> float:
     z = problem.primal(d)
     w = z[problem.layout["weights"]]
     b = z[problem.layout["biases"]]
-    gap = 0.0
-    for (i, j) in problem.extras["edges"]:
-        gap = max(gap, float(np.linalg.norm(np.r_[w[i] - w[j], b[i] - b[j]])))
-    return gap
+    gaps = [float(np.linalg.norm(np.r_[w[i] - w[j], b[i] - b[j]]))
+            for (i, j) in problem.extras["edges"]]
+    return float(np.max(gaps, initial=0.0))  # NaN if any edge's gap is NaN
 
 
 # ---------------------------------------------------------------------------

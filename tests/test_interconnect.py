@@ -358,8 +358,8 @@ class TestFromConstraints:
 
 class TestFactoredReflection:
     """Above DENSE_MAX_DIM coordinates `from_constraints` keeps G = sign
-    (I - 2 L R) from its Gram solve, or per-component blocks when A is
-    block-diagonal; either must be the same reflection."""
+    (I - 2 L K^-1 L^T) as A and the inverse Gram matrix, or per-component
+    blocks when A is block-diagonal; either must be the same reflection."""
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize(
@@ -420,17 +420,26 @@ class TestFactoredReflection:
                 ic.apply(c)
 
     def test_constructor_validation(self):
-        L, R = np.ones((4, 2)), np.ones((2, 4))
-        with pytest.raises(ValueError, match="factor shapes"):
-            FactoredReflection(np.zeros(3), L, R, 1.0)
-        with pytest.raises(ValueError, match="factor shapes"):
-            FactoredReflection(np.zeros(4), L, L, 1.0)
-        with pytest.raises(ValueError, match="sign"):
-            FactoredReflection(np.zeros(4), L, R, 0.5)
+        # m = 2 constraints on nf = 3 free coordinates: k = 2, N = 5
+        A, free, resid, K = np.ones((2, 3)), np.arange(3), np.arange(3, 5), np.eye(2)
+        assert FactoredReflection(np.zeros(5), A, free, resid, K).sign == 1.0
+        assert FactoredReflection(np.zeros(5), A.T, resid - 3, free + 2, K).sign == -1.0
+        for args in ((np.zeros(4), A, free, resid, K),
+                     (np.zeros(5), A.T, free, resid, K),
+                     (np.zeros(5), A[0], free, resid, K),
+                     (np.zeros(5), A, free[:2], resid, K),
+                     (np.zeros(5), A, free, resid[:, None], K),
+                     (np.zeros(5), A, free, resid, np.eye(3))):
+            with pytest.raises(ValueError, match="do not match"):
+                FactoredReflection(*args)
+        with pytest.raises(ValueError, match="do not partition"):
+            FactoredReflection(np.zeros(5), A, np.array([0, 1, 1]), resid, K)
         with pytest.raises(ValueError, match="offset contains non-finite"):
-            FactoredReflection(np.array([0.0, 0.0, 0.0, np.nan]), L, R, 1.0)
-        with pytest.raises(ValueError, match="factor R contains non-finite"):
-            FactoredReflection(np.zeros(4), L, R * np.inf, -1.0)
+            FactoredReflection(np.array([0.0, 0.0, 0.0, 0.0, np.nan]), A, free, resid, K)
+        with pytest.raises(ValueError, match="A contains non-finite"):
+            FactoredReflection(np.zeros(5), A * np.inf, free, resid, K)
+        with pytest.raises(ValueError, match="gram_inv contains non-finite"):
+            FactoredReflection(np.zeros(5), A, free, resid, K * np.nan)
 
     def test_replace_offset_keeps_factors(self):
         # a System with a linear cost replaces the offset of a built map for its loop
@@ -439,10 +448,36 @@ class TestFactoredReflection:
         assert ic.dim > interconnect.DENSE_MAX_DIM and type(ic) is FactoredReflection
         loop, g = system.loop_map, system.linear_cost
         assert type(loop) is FactoredReflection
-        assert loop.L is ic.L and loop.R is ic.R and loop.sign == ic.sign
+        assert loop.A is ic.A and loop.gram_inv is ic.gram_inv and loop.sign == ic.sign
+        assert loop.free is ic.free and loop.resid is ic.resid
         np.testing.assert_array_equal(loop.s, ic.s - ic.linear(g) - g)
         c = np.random.default_rng(65).normal(size=ic.dim)
         np.testing.assert_array_equal(loop.apply(c), ic.linear(c) + loop.s)
+
+    def test_holds_read_only_copies(self):
+        # the map keeps its own A: editing the caller's afterwards changes nothing
+        rng = np.random.default_rng(66)
+        A, free, resid = rng.normal(size=(100, 500)), np.arange(500), np.arange(500, 600)
+        ic = from_constraints(A, free, resid, offset=rng.normal(size=100))
+        c = rng.normal(size=600)
+        before = ic.apply(c)
+        A[:] = 0.0
+        free[:] = 0
+        np.testing.assert_array_equal(ic.apply(c), before)
+        for M in (ic.A, ic.free, ic.resid, ic.gram_inv):
+            assert not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ic.A[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(100, 500), (500, 100)], ids=["normals", "parametrization"])
+    def test_holds_no_n_by_k_array(self, shape):
+        # only A (m x nf), the index sets, K^-1 (k x k) and s: never L or R (N x k)
+        m, nf = shape
+        A = np.random.default_rng(67).normal(size=shape)
+        ic = from_constraints(A, np.arange(nf), np.arange(nf, nf + m))
+        held = [v for v in vars(ic).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 5
+        assert max(M.size for M in held) == m * nf < (m + nf) * min(m, nf)
 
 
 # (constraints, free coordinates) of each component: singletons of one

@@ -38,6 +38,8 @@ from test_oracles import assert_matches_lbfgsb
 
 # a lasso of N = 600 coordinates, above interconnect.DENSE_MAX_DIM
 LARGE_LASSO = {"m": 100, "n": 500, "sparsity": 5}
+# more constraints than coefficients: the parametrization form above the cut
+TALL_LASSO = {"m": 500, "n": 100, "sparsity": 5}
 
 
 def solve(built, tol=1e-10, max_iters=500000):
@@ -163,7 +165,7 @@ class TestBuilderInvariants:
         np.testing.assert_allclose(ic.apply(c), c @ ic.G.T + ic.s, rtol=0, atol=1e-14)
 
     def test_large_map_keeps_factors(self):
-        # above DENSE_MAX_DIM the map keeps the Gram solve's factors
+        # above DENSE_MAX_DIM the map keeps A and the inverse Gram matrix
         built = problems.build(
             "lasso_augmented", problems.default_instance("lasso_augmented", seed=0, params=LARGE_LASSO))
         ic = built.system.interconnection
@@ -174,8 +176,9 @@ class TestBuilderInvariants:
     @pytest.mark.parametrize(
         "name, params, form",
         [("lasso_augmented", LARGE_LASSO, FactoredReflection),
-         ("svm_consensus", {"n_agents": 40}, BlockReflection)],
-        ids=["lasso_N600", "svm_40_agents"],
+         ("svm_consensus", {"n_agents": 40}, BlockReflection),
+         ("lasso_augmented", TALL_LASSO, FactoredReflection)],
+        ids=["lasso_N600", "svm_40_agents", "tall_lasso_N600"],
     )
     def test_factored_run_matches_dense(self, name, params, form):
         # above the cut the factored map, and at any size the block map,
@@ -602,6 +605,18 @@ class TestSvmConsensus:
             result = solve(built, tol=1e-8)
             gaps.append(problems.consensus_gap(built, result.state.d))
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_consensus_gap_propagates_nan(self):
+        built = problems.build("svm_consensus", problems.default_instance("svm_consensus", seed=0))
+        assert np.isnan(problems.consensus_gap(built, np.full(built.system.dim, np.nan)))
+        # on a converged state it is the largest edge norm, as a running max gives it
+        d = solve(built, tol=1e-8).state.d
+        z = built.primal(d)
+        w, b = z[built.layout["weights"]], z[built.layout["biases"]]
+        want = 0.0
+        for (i, j) in built.extras["edges"]:
+            want = max(want, float(np.linalg.norm(np.r_[w[i] - w[j], b[i] - b[j]])))
+        assert want > 0.0 and problems.consensus_gap(built, d) == want
 
     @pytest.mark.parametrize("field, value", [
         ("hinge_weight", np.inf), ("hinge_weight", -1.0), ("coupling_weight", np.nan)])
