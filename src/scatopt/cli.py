@@ -164,11 +164,15 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     built = cfg.built_problem()
     system = built.system
+    # the reference stops on the relative update test, while the
+    # certificates demand an absolute fixed-point residual of 1e-8
     try:
         d_star = monitor.reference_fixed_point(
-            system, tol=min(cfg.tol, 1e-10), max_iters=max(cfg.max_iters, 500000)
+            system, tol=min(cfg.tol, 1e-12), max_iters=max(cfg.max_iters, 500000)
         )
-    except RuntimeError as exc:  # the reference run did not converge
+        eq1 = monitor.certify_eq1(system, d_star, n=300, seed=cfg.seed)
+        eq2 = monitor.certify_eq2(system, d_star, n=300, seed=cfg.seed)
+    except (RuntimeError, ValueError) as exc:  # no converged run, or not a fixed point
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # a block form is checked block by block, never through its N x N G
@@ -190,8 +194,6 @@ def cmd_verify(cfg: RunConfig) -> int:
             "passed": rep.passed,
             "informational": informational,
         })
-    eq1 = monitor.certify_eq1(system, d_star, n=300, seed=cfg.seed)
-    eq2 = monitor.certify_eq2(system, d_star, n=300, seed=cfg.seed)
     # the norm-reduction certificate presumes dissipative elements; report
     # it as informational when the system declares non-dissipative blocks
     eq2_required = all_dissipative

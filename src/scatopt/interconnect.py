@@ -3,16 +3,21 @@
 The interconnection maps the elements' c-outputs to their d-inputs,
 d = G c + s, where G is norm-preserving.  For a problem's linear
 constraints z[resid] = A z[free] - v, the map c -> G c + s is the
-reflection across that affine set, computed in closed form by
-`from_constraints` from the smaller Gram matrix K, I + A A^T or
-I + A^T A.  The reflection is kept in one of three forms, chosen by the
-sizes of the constraint graph's connected components and by N:
+reflection across that affine set,
+    G = sign (I - 2 L K^-1 L^T),   s = z0 - G z0,   z0 = (0, -v),
+with K = L^T L the smaller Gram matrix: (L, sign) = (C^T, +1) and
+K = I + A A^T, C = [A | -I], for no more constraints than free
+coordinates; else (L, sign) = (B, -1) and K = I + A^T A, B = [I; A].
+`from_constraints` builds every form from A, the index sets and one
+K^-1 by the same helpers, and never forms L.  The reflection is kept in
+one of three forms, chosen by the sizes of the constraint graph's
+connected components and by N:
 - a `BlockReflection` when the components' blocks hold at most
   `BLOCK_SHARE` of G's entries (the decentralized SVM, one block per
-  agent): each block is built alone by one solve with K and a product is
-  one batched matmul per block size;
+  agent): each stack of equal-shaped blocks is built at once, and a
+  product is one batched matmul per block size;
 - else a stored dense G up to `DENSE_MAX_DIM` coordinates (every other
-  shipped default problem), built by one solve with K;
+  shipped default problem);
 - else a `FactoredReflection` holding A, the index sets and K^-1, k x k
   for k = min(m, nf): O(m nf + k^2) memory and time per apply, one
   product each with A, K^-1 and A^T, where a dense G takes O(N^2).
@@ -27,7 +32,7 @@ at run time calls them; they stay as the tests' reference for
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,24 +96,80 @@ BLOCK_SHARE = 1 / 8
 
 # `from_constraints` stores G densely up to this many coordinates (2^18
 # entries, 2 MB) and as a `FactoredReflection` above.  The cut keeps every
-# default problem (N <= 480) on the stored G and its results unchanged; it
-# is not the speed crossover, which moves with the Gram size k.  On one
-# BLAS thread of a 2-vCPU x86 box a factored apply costs 16-18 us, 2.8-5.5x
-# a dense one, on the default problems of N <= 164, and overtakes it
-# between N = 300 and 480 for a lasso with k = N/6.  At the scale lasso's
-# N = 2400 (k = 400) it reads A twice and K^-1 once, 14 MB per call against
-# the dense G's 46 MB, in 0.60 ms against 1.88 ms; its build, one Gram
-# product and one k x k inverse, takes 22-29 ms.
+# default problem (N <= 480) on the stored G; it is not the speed
+# crossover, which moves with the Gram size k.  On one BLAS thread of a
+# 2-vCPU x86 box a factored apply costs 16-18 us, 2.8-5.5x a dense one, on
+# the default problems of N <= 164, and overtakes it between N = 300 and
+# 480 for a lasso with k = N/6.  At the scale lasso's N = 2400 (k = 400)
+# it reads A twice and K^-1 once, 14 MB per call against the dense G's
+# 46 MB, in 0.60 ms against 1.88 ms.  Both forms start from the same K^-1;
+# the builds take 0.12-0.44 ms for the dense defaults (N = 30 to 164),
+# 0.70 ms for the 30-agent svm's blocks and 21-24 ms for the scale lasso.
 DENSE_MAX_DIM = 512
 
 
-def _reflection(L: np.ndarray, R: np.ndarray, sign: float) -> np.ndarray:
-    """The dense matrix sign (I - 2 L R), or a stack of them."""
-    G = L @ R
+def _sign(A: np.ndarray) -> float:
+    """+1 for the constraint-normal form (m <= nf), -1 for the parametrization."""
+    m, nf = A.shape[-2:]
+    return 1.0 if m <= nf else -1.0
+
+
+def _gram_inverse(A: np.ndarray) -> np.ndarray:
+    """K^-1 for the smaller Gram matrix, K = I + A A^T (sign +1) or
+    I + A^T A (sign -1), of A (m, nf) or of each A of a stack (nb, m, nf)."""
+    m, nf = A.shape[-2:]
+    At = np.swapaxes(A, -1, -2)
+    return np.linalg.inv(np.eye(m) + A @ At if m <= nf else np.eye(nf) + At @ A)
+
+
+# The helpers below apply L, given by A and the index sets as in the module
+# docstring.  With a stack of A (nb, m, nf), vectors carry a row axis: c is
+# (nb, R, N).
+
+
+def _gram_side(A, free, resid, c: np.ndarray) -> np.ndarray:
+    """L^T c, (..., N) -> (..., k)."""
+    cf, cr = c[..., free], c[..., resid]
+    return cf @ np.swapaxes(A, -1, -2) - cr if _sign(A) > 0 else cf + cr @ A
+
+
+def _lift(A, free, resid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """L w, (..., k) -> (..., N), into `out` or a fresh array."""
+    if out is None:
+        out = np.empty(w.shape[:-1] + (sum(A.shape[-2:]),))
+    if _sign(A) > 0:
+        out[..., free] = w @ A
+        out[..., resid] = -w
+    else:
+        out[..., free] = w
+        out[..., resid] = w @ np.swapaxes(A, -1, -2)
+    return out
+
+
+def _dense_reflection(A, free, resid, gram_inv: np.ndarray) -> np.ndarray:
+    """The dense G = sign (I - 2 L M), M = K^-1 L^T, or a stack of them."""
+    # M (k, N) is the one temporary beside G: G is symmetric, so its rows
+    # are L applied to M's columns, lifted a few at a time
+    M = _lift(A, free, resid, gram_inv)
+    n = M.shape[-1]
+    G = np.empty(M.shape[:-2] + (n, n))
+    for r in range(0, n, 64):
+        _lift(A, free, resid, np.swapaxes(M[..., r : r + 64], -1, -2), out=G[..., r : r + 64, :])
+    sign = _sign(A)
     G *= -2.0 * sign
-    diag = np.arange(G.shape[-1])
+    diag = np.arange(n)
     G[..., diag, diag] += sign
     return G
+
+
+def _offset(A, free, resid, gram_inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """s = z0 - G z0 for the set's point z0 = (0, -v): twice the projection
+    u = L K^-1 L^T z0 when sign = +1, twice z0 - u when sign = -1.  With a
+    stack of A, v is (nb, m) and s (nb, N)."""
+    z0 = np.zeros(v.shape[:-1] + (1, sum(A.shape[-2:])))
+    z0[..., resid] = -v[..., None, :]
+    u = _lift(A, free, resid, _gram_side(A, free, resid, z0) @ np.swapaxes(gram_inv, -1, -2))
+    return (2.0 * u if _sign(A) > 0 else 2.0 * (z0 - u))[..., 0, :]
 
 
 def _checked_offset(s) -> np.ndarray:
@@ -226,12 +287,10 @@ class BlockReflection(_FormedOnRead):
 class FactoredReflection(_FormedOnRead):
     """The map c -> G c + s with G = sign (I - 2 L K^-1 L^T) the reflection
     across {z : z[resid] = A z[free] - v}, kept as A, the index sets and
-    `gram_inv` = K^-1 (k x k, k = min(m, nf)); L (N x k) is never formed.
-
-    With m <= nf constraints, L = [A | -I]^T and K = I + A A^T in (free,
-    resid) order and sign = +1; with more, L = [I; A] and K = I + A^T A and
-    sign = -1.  The arrays are held as given: `from_constraints` passes
-    read-only copies, which `dataclasses.replace` shares.
+    `gram_inv` = K^-1 (k x k, k = min(m, nf)), with L, K and sign = +1 for
+    m <= nf, else -1, as in the module docstring.  The arrays are held as
+    given: `from_constraints` passes read-only copies, which
+    `dataclasses.replace` shares.
     """
 
     G: np.ndarray = field(init=False, repr=False, compare=False)
@@ -264,44 +323,16 @@ class FactoredReflection(_FormedOnRead):
 
     @property
     def sign(self) -> float:
-        m, nf = self.A.shape
-        return 1.0 if m <= nf else -1.0
-
-    def _gram_side(self, c: np.ndarray) -> np.ndarray:
-        """L^T c, (..., N) -> (..., k)."""
-        cf, cr = c[..., self.free], c[..., self.resid]
-        return cf @ self.A.T - cr if self.sign > 0 else cf + cr @ self.A
-
-    def _lift(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """L w, (..., k) -> (..., N), into `out` or a fresh array."""
-        if out is None:
-            out = np.empty(w.shape[:-1] + self.s.shape)
-        if self.sign > 0:
-            out[..., self.free] = w @ self.A
-            out[..., self.resid] = -w
-        else:
-            out[..., self.free] = w
-            out[..., self.resid] = w @ self.A.T
-        return out
+        return _sign(self.A)
 
     def _dense(self) -> np.ndarray:
-        # sign (I - 2 L M) with M = K^-1 L^T, the one (k, N) temporary beside
-        # G: G is symmetric, so its rows are L applied to M's columns, lifted
-        # a few at a time
-        M = self._lift(self.gram_inv)
-        G = np.empty((self.dim, self.dim))
-        for r in range(0, self.dim, 64):
-            self._lift(M[:, r : r + 64].T, out=G[r : r + 64])
-        G *= -2.0 * self.sign
-        diag = np.arange(self.dim)
-        G[diag, diag] += self.sign
-        return G
+        return _dense_reflection(self.A, self.free, self.resid, self.gram_inv)
 
     def _product(self, c: np.ndarray) -> np.ndarray:
         # G c = sign c + L w with w = -2 sign K^-1 L^T c
-        w = self._gram_side(c) @ self.gram_inv.T
+        w = _gram_side(self.A, self.free, self.resid, c) @ self.gram_inv.T
         w *= -2.0 * self.sign
-        return self._lift(w) + self.sign * c
+        return _lift(self.A, self.free, self.resid, w) + self.sign * c
 
 
 @dataclass(frozen=True)
@@ -402,35 +433,8 @@ def _components(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comp[nf:], comp[:nf]
 
 
-def _closed_form(A, free_idx, resid_idx, v):
-    """(L, R, sign, s) with G = sign (I - 2 L R) and offset s of the
-    reflection across {z : z[resid] = A z[free] - v}, for one constraint
-    matrix A (m, nf) or for a stack (nb, m, nf) with offsets v (nb, m)."""
-    *batch, m, nf = A.shape
-    n = nf + m
-    z0 = np.zeros((*batch, n))
-    z0[..., resid_idx] = -v
-    if nf < m:
-        L = np.zeros((*batch, n, nf))  # B
-        L[..., free_idx, :] = np.eye(nf)
-        L[..., resid_idx, :] = A
-        gram, sign = np.eye(nf) + np.swapaxes(A, -1, -2) @ A, -1.0
-    else:
-        C = np.zeros((*batch, m, n))
-        C[..., free_idx] = A
-        C[..., resid_idx] = -np.eye(m)
-        L, gram, sign = np.swapaxes(C, -1, -2), np.eye(m) + A @ np.swapaxes(A, -1, -2), 1.0
-    # G = sign (I - 2 L R) and s = z0 - G z0, z0 being a point of the set
-    Lt = np.swapaxes(L, -1, -2)
-    X = np.linalg.solve(gram, np.concatenate([Lt, Lt @ z0[..., None]], axis=-1))
-    R, x = X[..., :n], X[..., n:]
-    u = (L @ x)[..., 0]
-    s = 2.0 * u if sign > 0 else 2.0 * (z0 - u)
-    return L, R, sign, s
-
-
 def _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp) -> BlockReflection:
-    """The reflection built per component, equal-shaped ones in one solve."""
+    """The reflection built per component, equal-shaped ones as one stack."""
     n_comp = int(np.concatenate([row_comp, col_comp]).max()) + 1
     m_c, nf_c = (np.bincount(c, minlength=n_comp) for c in (row_comp, col_comp))
     rows_by_comp = np.argsort(row_comp, kind="stable")
@@ -442,32 +446,17 @@ def _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp) -> BlockRef
         nb = int(shaped.sum())
         rows = rows_by_comp[shaped[row_comp[rows_by_comp]]].reshape(nb, mk)
         cols = cols_by_comp[shaped[col_comp[cols_by_comp]]].reshape(nb, fk)
-        L, R, sign, s_b = _closed_form(A[rows[:, :, None], cols[:, None, :]],
-                                       np.arange(fk), np.arange(fk, fk + mk), v[rows])
+        A_b = A[rows[:, :, None], cols[:, None, :]]
+        own = np.arange(fk), np.arange(fk, fk + mk)  # each block's free, then residual
+        gram_inv = _gram_inverse(A_b)
         index = np.concatenate([free_idx[cols], resid_idx[rows]], axis=1)
-        s[index] = s_b
-        stacks.setdefault(fk + mk, []).append((index, _reflection(L, R, sign)))
+        s[index] = _offset(A_b, *own, gram_inv, v[rows])
+        stacks.setdefault(fk + mk, []).append((index, _dense_reflection(A_b, *own, gram_inv)))
     return BlockReflection(
         s=s,
         index=tuple(np.concatenate([i for i, _ in group]) for group in stacks.values()),
         blocks=tuple(np.concatenate([B for _, B in group]) for group in stacks.values()),
     )
-
-
-def _factored_reflection(A, free_idx, resid_idx, v) -> FactoredReflection:
-    """The reflection kept as read-only copies of A and the index sets and
-    the inverse of the smaller Gram matrix, with s = z0 - G z0 from the
-    projection u = L K^-1 L^T z0 of the set's point z0 = (0, -v)."""
-    m, nf = A.shape
-    gram = np.eye(nf) + A.T @ A if nf < m else np.eye(m) + A @ A.T
-    held = [A.copy(), free_idx.copy(), resid_idx.copy(), np.linalg.inv(gram)]
-    for M in held:
-        M.flags.writeable = False
-    ic = FactoredReflection(np.zeros(m + nf), *held)
-    z0 = np.zeros(m + nf)
-    z0[resid_idx] = -v
-    u = ic._lift(ic._gram_side(z0) @ ic.gram_inv.T)
-    return replace(ic, s=2.0 * u if ic.sign > 0 else 2.0 * (z0 - u))
 
 
 def from_constraints(
@@ -479,27 +468,23 @@ def from_constraints(
     """Build the interconnection enforcing z[resid] = A z[free] - offset.
 
     G c + s is the reflection of c across the affine set {z : C z = v},
-    where C = [A | -I] in (free, resid) column order and v the offset.
-    It is computed from the smaller of the two Gram matrices: with no
-    more constraints than free coordinates, from the constraint normals,
-        G = I - 2 C^T K^-1 C,   s = 2 C^T K^-1 v,   K = C C^T = I + A A^T;
-    with more, from the set's parametrization z = B x + z0, where
-    B = [I; A] in (free, resid) row order and z0 = (0, -v),
-        G = 2 B X - I,   s = 2 (z0 - B X z0),   X = (I + A^T A)^-1 B^T,
-    B X being the projector onto the range of B.  Both give the same map.
+    where C = [A | -I] in (free, resid) column order and v the offset:
+        G = sign (I - 2 L K^-1 L^T),   s = z0 - G z0,   z0 = (0, -v),
+    with (L, sign) = (C^T, +1) and K = C C^T = I + A A^T when there are
+    no more constraints than free coordinates (the constraint normals),
+    else (L, sign) = (B, -1) and K = B^T B = I + A^T A with B = [I; A] in
+    (free, resid) row order (the set's parametrization z = B x + z0).
+    Every form is built from A, the index sets and one K^-1 and never
+    forms L; s comes from the projection L K^-1 L^T z0.
 
     The set is the product of the sets of the connected components of the
     graph joining row i and column j when A[i, j] != 0, and its reflection
     the product of theirs.  When the components' blocks hold at most
-    `BLOCK_SHARE` of the N^2 entries, each is built alone by the same
-    closed form, equal shapes in one stacked solve, and the map is a
-    `BlockReflection`.  Otherwise G is stored up to `DENSE_MAX_DIM`
-    coordinates, from one solve with the Gram matrix for X and X z0 (or
-    K^-1 C and K^-1 C z0).  Above, the build solves no system: it inverts
-    the Gram matrix once and returns the `FactoredReflection` holding
-    read-only copies of A, the index sets and that inverse, with
-    G = sign (I - 2 L K^-1 L^T), (L, sign) = (C^T, +1) or (B, -1), and
-    s = z0 - G z0 from the projection of z0.
+    `BLOCK_SHARE` of the N^2 entries, each stack of equal-shaped
+    components is built at once and the map is a `BlockReflection`.
+    Otherwise G is formed and stored up to `DENSE_MAX_DIM` coordinates;
+    above, the map is the `FactoredReflection` holding read-only copies
+    of A, the index sets and K^-1.
     G is symmetric, orthonormal and an involution, and every point of the
     constraint set is fixed.  This equals the paper's construction, the
     Cayley transform of the skew core holding A with the residual columns
@@ -530,7 +515,11 @@ def from_constraints(
         sizes = np.bincount(np.concatenate([row_comp, col_comp]))
         if (sizes**2).sum() <= BLOCK_SHARE * n * n:
             return _block_reflection(A, free_idx, resid_idx, v, row_comp, col_comp)
-    if n > DENSE_MAX_DIM:
-        return _factored_reflection(A, free_idx, resid_idx, v)
-    L, R, sign, s = _closed_form(A, free_idx, resid_idx, v)
-    return AffineInterconnection(G=_reflection(L, R, sign), s=s)
+    gram_inv = _gram_inverse(A)
+    s = _offset(A, free_idx, resid_idx, gram_inv, v)
+    if n <= DENSE_MAX_DIM:
+        return AffineInterconnection(G=_dense_reflection(A, free_idx, resid_idx, gram_inv), s=s)
+    held = [A.copy(), free_idx.copy(), resid_idx.copy(), gram_inv]
+    for M in held:
+        M.flags.writeable = False
+    return FactoredReflection(s, *held)

@@ -12,6 +12,7 @@ terms are duplicated through the interconnection so blocks stay disjoint.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -468,6 +469,11 @@ class EqualizerInstance:
         self.channel = np.atleast_1d(np.asarray(self.channel, dtype=float))
         if self.channel.size == 0:
             raise ValueError("channel must have at least one tap")
+        try:
+            self.target_delay = operator.index(self.target_delay)
+        except TypeError:
+            raise ValueError(
+                f"target delay must be an integer, got {self.target_delay!r}") from None
         m = self.channel.size + self.num_taps - 1
         if not 0 <= self.target_delay < m:
             raise ValueError(f"target delay {self.target_delay} outside output range")

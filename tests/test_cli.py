@@ -183,12 +183,17 @@ class TestRunCommand:
         (["--config", "{tmp}/latin1.json"],
          "error: config file is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
          "in position 9: invalid continuation byte"),
+        (["--config", "{tmp}/delay.json"],
+         "error: invalid instance parameters: target delay must be an integer, got 1.5"),
     ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed", "out_is_file",
-            "out_below_file", "config_is_directory", "config_not_utf8"])
+            "out_below_file", "config_is_directory", "config_not_utf8",
+            "noninteger_target_delay"])
     def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
         (tmp_path / "file.txt").write_text("")
         (tmp_path / "cfgdir").mkdir()
         (tmp_path / "latin1.json").write_bytes(b'{"tol": "\xe9"}')
+        (tmp_path / "delay.json").write_text(json.dumps(
+            {"problem": "sparse_equalizer", "instance": {"target_delay": 1.5}}))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path)]
@@ -272,6 +277,26 @@ class TestVerifyCommand:
         code = main(["verify", "--problem", "lasso_huber", "--out", str(tmp_path)])
         assert code == 2
         assert "error: reference run did not reach tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
+
+    def test_larger_system_passes(self, tmp_path):
+        # the reference stops at a relative update of 1e-12, so at ||d*|| = 52
+        # it still meets the certificates' absolute residual bar of 1e-8
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"problem": "svm_consensus", "instance": {"n_agents": 100}}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert read_json(out / "verify.json")["passed"] is True
+
+    def test_reference_not_fixed_point_exit_code(self, tmp_path, capsys, monkeypatch):
+        def short(system, tol, max_iters):
+            return np.zeros(system.dim)
+
+        monkeypatch.setattr(monitor, "reference_fixed_point", short)
+        code = main(["verify", "--problem", "lasso_huber", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: d_star is not a fixed point (residual ")
         assert not (tmp_path / "verify.json").exists()
 
 

@@ -412,6 +412,22 @@ class TestFactoredReflection:
             ic = from_constraints(A, np.arange(A.shape[1]), np.arange(A.shape[1], n))
             assert type(ic) is form
 
+    @pytest.mark.parametrize("shape", [(60, 300), (300, 60)], ids=["normals", "parametrization"])
+    def test_dense_form_is_the_factored_form(self, shape, monkeypatch):
+        # one construction: below the cut, G and s are bitwise the ones a
+        # factored form of the same constraints gives
+        rng = np.random.default_rng(68)
+        m, nf = shape
+        A = rng.normal(size=shape) / np.sqrt(m)
+        perm = rng.permutation(m + nf)
+        args = A, perm[:nf], perm[nf:], rng.normal(size=m)
+        dense = from_constraints(*args)
+        monkeypatch.setattr(interconnect, "DENSE_MAX_DIM", 0)
+        factored = from_constraints(*args)
+        assert type(dense) is AffineInterconnection and type(factored) is FactoredReflection
+        np.testing.assert_array_equal(dense.G, factored.G)
+        np.testing.assert_array_equal(dense.s, factored.s)
+
     def test_wrong_length_rejected(self):
         A = np.random.default_rng(64).normal(size=(100, 500))
         ic = from_constraints(A, np.arange(500), np.arange(500, 600))
