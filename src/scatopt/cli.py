@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -28,12 +27,6 @@ class ConfigError(ValueError):
     pass
 
 
-# per annotated field type, the values it accepts and their JSON name;
-# `bool` is an `int` to Python but never a number in a config
-_FIELD_TYPES = {"str": (str, "a string"), "float": (numbers.Real, "a number"),
-                "int": (numbers.Integral, "an integer"), "dict": (dict, "an object")}
-
-
 @dataclass
 class RunConfig:
     problem: str = "lasso_huber"
@@ -47,11 +40,7 @@ class RunConfig:
     instance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kind, json_name = _FIELD_TYPES[f.type]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(f"{f.name} must be {json_name}, got {value!r}")
+        problems.check_params(vars(self), self.__annotations__, "the config", ConfigError)
         if self.problem not in problems.PROBLEM_NAMES:
             raise ConfigError(
                 f"unknown problem {self.problem!r}; choose from {', '.join(problems.PROBLEM_NAMES)}"
@@ -107,10 +96,7 @@ def _load_config(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             data[f.name] = value
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+    problems.check_params(data, RunConfig.__annotations__, "the config", ConfigError)
     return RunConfig(**data)
 
 

@@ -11,9 +11,11 @@ terms are duplicated through the interconnection so blocks stay disjoint.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "Problem",
     "PROBLEMS",
     "PROBLEM_NAMES",
+    "check_params",
     "default_instance",
     "build",
 ]
@@ -157,6 +160,10 @@ class LassoInstance:
         noise: float = 0.01,
         **weights,
     ) -> "LassoInstance":
+        if min(m, n) < 1 or not 0 <= sparsity <= n:
+            raise ValueError(f"need m, n >= 1 and 0 <= sparsity <= n, got {m=}, {n=}, {sparsity=}")
+        if not math.isfinite(noise):
+            raise ValueError(f"noise must be finite, got {noise}")
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(m, n)) / np.sqrt(m)
         x_true = np.zeros(n)
@@ -228,13 +235,17 @@ class FirSpec:
                 f"{self.passband_edge:g}, {self.stopband_edge:g}"
             )
         if self.grid_size < 2:
-            raise ValueError("grid must have at least two points")
+            raise ValueError(f"grid_size must be at least 2, got {self.grid_size}")
         _check(self.passband_weight, "passband_weight")
         _check(self.stopband_weight, "stopband_weight")
 
     @property
     def half_taps(self) -> int:
         return (self.num_taps + 1) // 2
+
+    @classmethod
+    def lowpass(cls, seed: int = 0, **params) -> "FirSpec":
+        return cls(**params)  # deterministic: `seed` is accepted for uniformity
 
 
 def design_grid(spec: FirSpec):
@@ -314,8 +325,7 @@ def build_minimax_fir_split(spec: FirSpec, coupling_weight: float = 100.0) -> Bu
     """Two-interconnection variant: each band owns a copy of the
     coefficients and its own ripple bound, with the copies tied
     coordinatewise through coupling elements."""
-    if coupling_weight < 0:
-        raise ValueError("coupling_weight must be nonnegative")
+    _check(coupling_weight, "coupling_weight")
     return _build_minimax(spec, split=True, coupling_weight=coupling_weight)
 
 
@@ -386,13 +396,15 @@ class SvmInstance:
         degree: int = 4,
         **weights,
     ) -> "SvmInstance":
+        if not math.isfinite(separation):
+            raise ValueError(f"separation must be finite, got {separation}")
+        adj = make_regular_graph(n_agents, degree)  # first, so that it, not numpy, rejects n_agents
         rng = np.random.default_rng(seed)
         half = n_agents // 2
         direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
         labels = np.concatenate([np.ones(half), -np.ones(n_agents - half)])
         centers = np.outer(labels, direction) * (separation / 2.0)
         features = centers + rng.normal(size=(n_agents, 2))
-        adj = make_regular_graph(n_agents, degree)
         return cls(features=features, labels=labels, adjacency=adj, **weights)
 
 
@@ -469,14 +481,11 @@ class EqualizerInstance:
         self.channel = np.atleast_1d(np.asarray(self.channel, dtype=float))
         if self.channel.size == 0:
             raise ValueError("channel must have at least one tap")
-        try:
-            self.target_delay = operator.index(self.target_delay)
-        except TypeError:
-            raise ValueError(
-                f"target delay must be an integer, got {self.target_delay!r}") from None
+        if self.num_taps < 1:
+            raise ValueError(f"num_taps must be positive, got {self.num_taps}")
         m = self.channel.size + self.num_taps - 1
         if not 0 <= self.target_delay < m:
-            raise ValueError(f"target delay {self.target_delay} outside output range")
+            raise ValueError(f"target_delay must lie in [0, {m}), got {self.target_delay}")
         target = np.zeros(m)
         target[self.target_delay] = 1.0
         if self.upper_env is None:
@@ -493,15 +502,15 @@ class EqualizerInstance:
             target[self.target_delay] < self.lower_env[self.target_delay]
         ):
             raise ValueError("envelope infeasible at the target impulse")
-        if self.notch_width <= 0:
-            raise ValueError("notch_width must be positive")
+        for name in ("cap_height", "notch_width", "upper_weight", "lower_weight"):
+            _check(getattr(self, name), name, strict=name == "notch_width")
 
     @classmethod
     def synthetic(cls, length: int = 32, num_taps: int = 16, seed: int = 0, **kw):
         rng = np.random.default_rng(seed)
         decay = 0.7 ** np.arange(length)
-        channel = decay * (1.0 + 0.3 * rng.normal(size=length))
-        channel[:1] = 1.0  # a slice, so that an empty channel reaches the check
+        channel = decay * (1.0 + 0.3 * rng.normal(size=decay.size))
+        channel[:1] = 1.0  # a slice, and decay.size above: an empty channel reaches the check
         return cls(channel=channel, num_taps=num_taps, **kw)
 
 
@@ -610,15 +619,22 @@ class Problem:
     """A shipped problem: its default instance, builder, comparison and cost
     scale alpha (1 for the lassos, which criterion 09 limits, and the nonconvex equalizer)."""
 
-    instance: Callable  # (seed=..., **instance parameters) -> instance
+    instance: Callable  # a classmethod of the instance type: (seed=..., **parameters) -> instance
     builder: Callable  # (instance, **builder parameters) -> BuiltProblem
-    builder_params: tuple[str, ...] = ()
     compare: Callable | None = None  # (built, d) -> metrics; None: no reference
     alpha: float = 1.0
 
-
-def _fir_spec(seed: int = 0, **params) -> FirSpec:
-    return FirSpec(**params)  # deterministic: `seed` is accepted for uniformity
+    @functools.cached_property
+    def schema(self) -> tuple[dict, dict]:
+        """The annotations of the instance parameters (the factory's keywords but `seed`, then the
+        instance type's fields that have a default) and of the builder's after the instance."""
+        factory = inspect.signature(self.instance).parameters.values()
+        instance = {p.name: p.annotation for p in factory
+                    if p.kind is p.POSITIONAL_OR_KEYWORD and p.name != "seed"}
+        instance |= {f.name: f.type for f in fields(self.instance.__self__)
+                     if f.default is not MISSING}
+        builder = list(inspect.signature(self.builder).parameters.values())[1:]
+        return instance, {p.name: p.annotation for p in builder}
 
 
 PROBLEMS = {
@@ -626,8 +642,8 @@ PROBLEMS = {
                            compare=_compare_lasso_huber),
     "lasso_augmented": Problem(LassoInstance.random, build_lasso_augmented,
                                compare=_compare_lasso_augmented),
-    "minimax_fir": Problem(_fir_spec, build_minimax_fir, compare=_compare_minimax_fir, alpha=0.1),
-    "minimax_fir_split": Problem(_fir_spec, build_minimax_fir_split, ("coupling_weight",),
+    "minimax_fir": Problem(FirSpec.lowpass, build_minimax_fir, _compare_minimax_fir, alpha=0.1),
+    "minimax_fir_split": Problem(FirSpec.lowpass, build_minimax_fir_split,
                                  _compare_minimax_fir_split, alpha=0.03),
     "svm_consensus": Problem(SvmInstance.separable_blobs, build_svm_decentralized,
                              compare=_compare_svm, alpha=3.0),
@@ -644,20 +660,39 @@ def _problem(name: str) -> Problem:
     return PROBLEMS[name]
 
 
+# per annotation, the types a value may have and their JSON name; `bool` is an `int`
+# to Python but never a number in a config, and a list's entries are numbers
+_KINDS = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+          "str": (str, "a string"), "dict": (dict, "an object"),
+          "np.ndarray | None": ((list, type(None)), "a list of numbers or null")}
+
+
+def check_params(params: dict, schema: dict, owner: str, error=ValueError) -> None:
+    """Raise `error` on the first key of `params` that `schema` (name to annotation)
+    lacks or whose value is not of its kind; NaN and infinities pass to the value checks."""
+    for key, value in params.items():
+        if key not in schema:
+            raise error(f"{owner} takes no {key!r}; choose from {', '.join(schema)}")
+        kind, json_name = _KINDS[schema[key]]
+        entries = value if isinstance(value, list) else []
+        if any(isinstance(v, bool) for v in [value, *entries]) or not (
+                isinstance(value, kind) and all(isinstance(v, Real) for v in entries)):
+            raise error(f"{key} must be {json_name}, got {value!r}")
+
+
 def default_instance(name: str, seed: int = 0, params: dict | None = None):
-    """The default desk-scale instance for each named problem.  Keys of
-    `params` that the builder takes are left to `build`; any other key the
-    instance factory does not take raises TypeError."""
+    """The default desk-scale instance of a problem; ValueError if `params` fail `check_params`."""
     problem = _problem(name)
-    params = {k: v for k, v in (params or {}).items() if k not in problem.builder_params}
-    return problem.instance(seed=seed, **params)
+    instance, builder = problem.schema
+    params = params or {}
+    check_params(params, instance | builder, name)
+    return problem.instance(seed=seed, **{k: v for k, v in params.items() if k in instance})
 
 
 def build(name: str, instance, params: dict | None = None) -> BuiltProblem:
     """Build a named problem at its alpha, passing on the keys of `params` its builder takes."""
     problem = _problem(name)
-    params = params or {}
-    kwargs = {k: params[k] for k in problem.builder_params if k in params}
+    kwargs = {k: v for k, v in (params or {}).items() if k in problem.schema[1]}
     built = problem.builder(instance, **kwargs)
     built.system = built.system.scaled(problem.alpha)
     return built

@@ -15,6 +15,46 @@ def read_json(path):
         return json.load(fh)
 
 
+# every problem's instance parameters and their annotations, written out so
+# that a parameter the derived schema drops or retypes fails here
+_LASSO = {"m": "int", "n": "int", "sparsity": "int", "noise": "float",
+          "l1_weight": "float", "residual_weight": "float", "huber_width": "float"}
+_FIR = {"num_taps": "int", "passband_edge": "float", "stopband_edge": "float",
+        "grid_size": "int", "passband_weight": "float", "stopband_weight": "float"}
+_ENVELOPE = "np.ndarray | None"
+SCHEMAS = {
+    "lasso_huber": _LASSO,
+    "lasso_augmented": _LASSO,
+    "minimax_fir": _FIR,
+    "minimax_fir_split": {**_FIR, "coupling_weight": "float"},
+    "svm_consensus": {"n_agents": "int", "separation": "float", "degree": "int",
+                      "coupling_weight": "float", "hinge_weight": "float"},
+    "sparse_equalizer": {"length": "int", "num_taps": "int", "target_delay": "int",
+                         "upper_env": _ENVELOPE, "lower_env": _ENVELOPE, "cap_height": "float",
+                         "notch_width": "float", "upper_weight": "float", "lower_weight": "float"},
+}
+# per annotation, its name in the message and values that are not of it: a
+# bool, a value of the wrong kind, a string (and an envelope list holding a bool)
+_NOT_OF_KIND = {"int": ("an integer", [True, 15.5, "15"]),
+                "float": ("a number", [True, "x", "1.0"]),
+                _ENVELOPE: ("a list of numbers or null", [True, 15.5, "x", [1.0, True]])}
+_PREFIX = "error: invalid instance parameters: "
+SCHEMA_CASES = [
+    *((name, key, value, f"{_PREFIX}{key} must be {_NOT_OF_KIND[kind][0]}, got {value!r}")
+      for name, schema in SCHEMAS.items() for key, kind in schema.items()
+      for value in _NOT_OF_KIND[kind][1]),
+    # NaN passes the type check to each field's value check, which names it
+    *((name, key, float("nan"), None)
+      for name, schema in SCHEMAS.items() for key, kind in schema.items() if kind == "float"),
+    # the factories' `seed` and the instance fields that have no default
+    *((name, key, value, f"{_PREFIX}{name} takes no {key!r}; "
+       f"choose from {', '.join(SCHEMAS[name])}")
+      for name, key, value in [*((name, "seed", 3) for name in SCHEMAS),
+                               ("sparse_equalizer", "channel", [1.0]),
+                               ("lasso_huber", "A", [[1.0]]), ("lasso_augmented", "A", [[1.0]])]),
+]
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -169,6 +209,29 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"mode": "async", "p": 0.0}))
         assert main(["run", "--config", str(cfg_path)]) == 1
 
+    @pytest.mark.parametrize("name, key, value, message", SCHEMA_CASES,
+                             ids=[f"{n}-{k}-{v!r}" for n, k, v, _ in SCHEMA_CASES])
+    def test_instance_schema(self, tmp_path, capsys, name, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": name, "instance": {key: value}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        if message is None:
+            assert err.startswith(_PREFIX) and key in err and err.count("\n") == 1, err
+        else:
+            assert err == message + "\n"
+        assert not out.exists()
+
+    def test_null_envelope_is_the_default(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"problem": "sparse_equalizer", "instance": {"upper_env": None}}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "null")]) == 0
+        assert main(["run", "--problem", "sparse_equalizer", "--out", str(tmp_path / "default")]) == 0
+        assert ((tmp_path / "null" / "trace.csv").read_bytes()
+                == (tmp_path / "default" / "trace.csv").read_bytes())
+
     @pytest.mark.parametrize("argv, message", [
         (["--tol", "inf"], "error: tol must be positive and finite, got inf"),
         (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
@@ -184,16 +247,47 @@ class TestRunCommand:
          "error: config file is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 "
          "in position 9: invalid continuation byte"),
         (["--config", "{tmp}/delay.json"],
-         "error: invalid instance parameters: target delay must be an integer, got 1.5"),
+         "error: invalid instance parameters: target_delay must be an integer, got 1.5"),
+        (["--config", "{tmp}/no_taps.json"],
+         "error: invalid instance parameters: num_taps must be positive, got 0"),
+        (["--config", "{tmp}/negative_m.json"],
+         "error: invalid instance parameters: need m, n >= 1 and 0 <= sparsity <= n, "
+         "got m=-1, n=20, sparsity=3"),
+        (["--config", "{tmp}/zero_n.json"],
+         "error: invalid instance parameters: need m, n >= 1 and 0 <= sparsity <= n, "
+         "got m=10, n=0, sparsity=3"),
+        (["--config", "{tmp}/zero_m.json"],
+         "error: invalid instance parameters: need m, n >= 1 and 0 <= sparsity <= n, "
+         "got m=0, n=20, sparsity=3"),
+        (["--config", "{tmp}/sparsity_above_n.json"],
+         "error: invalid instance parameters: need m, n >= 1 and 0 <= sparsity <= n, "
+         "got m=10, n=20, sparsity=30"),
+        (["--config", "{tmp}/late_delay.json"],
+         "error: invalid instance parameters: target_delay must lie in [0, 47), got 47"),
+        (["--config", "{tmp}/negative_length.json"],
+         "error: invalid instance parameters: channel must have at least one tap"),
+        (["--config", "{tmp}/one_point_grid.json"],
+         "error: invalid instance parameters: grid_size must be at least 2, got 1"),
     ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed", "out_is_file",
             "out_below_file", "config_is_directory", "config_not_utf8",
-            "noninteger_target_delay"])
+            "noninteger_target_delay", "zero_equalizer_taps", "negative_lasso_rows",
+            "zero_lasso_columns", "zero_lasso_rows", "lasso_sparsity_above_n",
+            "equalizer_delay_past_output", "negative_equalizer_length", "one_point_fir_grid"])
     def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
         (tmp_path / "file.txt").write_text("")
         (tmp_path / "cfgdir").mkdir()
         (tmp_path / "latin1.json").write_bytes(b'{"tol": "\xe9"}')
-        (tmp_path / "delay.json").write_text(json.dumps(
-            {"problem": "sparse_equalizer", "instance": {"target_delay": 1.5}}))
+        for stem, problem, instance in (
+                ("delay", "sparse_equalizer", {"target_delay": 1.5}),
+                ("no_taps", "sparse_equalizer", {"num_taps": 0}),
+                ("late_delay", "sparse_equalizer", {"target_delay": 47}),
+                ("negative_length", "sparse_equalizer", {"length": -1}),
+                ("one_point_grid", "minimax_fir", {"grid_size": 1}),
+                ("negative_m", "lasso_huber", {"m": -1}), ("zero_n", "lasso_huber", {"n": 0}),
+                ("zero_m", "lasso_huber", {"m": 0}),
+                ("sparsity_above_n", "lasso_augmented", {"sparsity": 30})):
+            (tmp_path / f"{stem}.json").write_text(json.dumps(
+                {"problem": problem, "instance": instance}))
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path)]
