@@ -31,14 +31,7 @@ from .engine import (
     run_ensemble,
     run_error_system,
 )
-from .interconnect import (
-    AffineInterconnection,
-    SourceRelation,
-    absorb_sources,
-    cayley,
-    check_orthonormal,
-    from_constraints,
-)
-from .pairs import Block, PairTransform, canonical_transform
+from .interconnect import AffineInterconnection, check_orthonormal, from_constraints
+from .pairs import Block
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ class RunConfig:
         try:
             inst = problems.default_instance(self.problem, seed=self.seed, params=self.instance)
             built = problems.build(self.problem, inst, params=self.instance)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, MemoryError) as exc:
             raise ConfigError(f"invalid instance parameters: {exc}") from exc
         built.system.gamma = self.gamma
         return built

@@ -19,7 +19,7 @@ import numpy as np
 
 from .elements import Element, group_elements
 from .interconnect import AffineInterconnection
-from .pairs import canonical_transform
+from .pairs import PairTransform
 
 __all__ = [
     "System",
@@ -229,7 +229,7 @@ def readout(system: System, d: np.ndarray):
     """Recover the primal/dual pairs (a_i, b_i) from the iteration state;
     every relation reflects as 2 prox - d, which is the canonical pairing;
     b is divided by alpha, so it is the unscaled problem's dual."""
-    a, b = canonical_transform().invert_many(system.apply_elements(d), d)
+    a, b = PairTransform().invert_many(system.apply_elements(d), d)
     return a, b / system.alpha
 
 

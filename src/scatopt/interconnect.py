@@ -26,8 +26,9 @@ The block and factored forms form the dense G only when it is read.
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
 construction of the same map: a Cayley transform of a skew core, with
 constant data as source relations eliminated into the offset.  Nothing
-at run time calls them; they stay as the tests' reference for
-`from_constraints` and as patch sites of the span tracer (`perfbench/tracing.py`).
+at run time calls them, and they are not exported; they stay as the
+tests' reference for `from_constraints` and as patch sites of the span
+tracer (`perfbench/tracing.py`).
 """
 
 from __future__ import annotations
@@ -39,14 +40,11 @@ import numpy as np
 from .pairs import Block
 
 __all__ = [
-    "cayley",
     "check_orthonormal",
     "OrthonormalityReport",
     "AffineInterconnection",
     "BlockReflection",
     "FactoredReflection",
-    "SourceRelation",
-    "absorb_sources",
     "from_constraints",
 ]
 

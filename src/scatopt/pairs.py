@@ -1,9 +1,9 @@
 """Variable-pair readout and block indexing into stacked system vectors.
 
 Every system coordinate carries a pair (a, b) of primal/dual decision
-variables, iterated on as a transformed pair (c, d).  The canonical
-transform is the orthonormal, self-inverse mixing matrix
-(1/sqrt(2)) [[1, 1], [1, -1]]; the readout applies its inverse.
+variables, iterated on as a transformed pair (c, d).  The transform is
+the canonical mix (1/sqrt(2)) [[1, 1], [1, -1]], orthonormal and its own
+inverse; the readout applies its inverse.
 """
 
 from __future__ import annotations
@@ -13,39 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairTransform", "canonical_transform", "Block"]
+__all__ = ["PairTransform", "Block"]
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class PairTransform:
-    """Invertible 2x2 matrix mapping (a, b) -> (c, d)."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.det) or abs(self.det) < 1e-15:
-            raise ValueError(f"pair transform is singular (det={self.det})")
-
-    @property
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
+    """The canonical pair mix (a, b) -> (c, d).  A class, so that the span
+    tracer (`perfbench/tracing.py`) can wrap `invert_many` where
+    `engine.readout` looks it up."""
 
     def invert_many(self, c, d):
         """Vectorized inverse transform on stacked coordinates."""
         c = np.asarray(c, dtype=float)
         d = np.asarray(d, dtype=float)
-        return (self.m22 * c - self.m12 * d) / self.det, (-self.m21 * c + self.m11 * d) / self.det
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def canonical_transform() -> PairTransform:
-    """The default pair mixing matrix: orthonormal and its own inverse."""
-    return PairTransform(_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
+        # the 2x2 inverse (m22 c - m12 d, -m21 c + m11 d) / det, which
+        # rounds unlike (c +- d) / sqrt(2); the readout's bits depend on it
+        s = _INV_SQRT2
+        det = -2.0 * s * s
+        return ((-s) * c - s * d) / det, ((-s) * c + s * d) / det
 
 
 @dataclass(frozen=True)

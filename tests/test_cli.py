@@ -268,11 +268,16 @@ class TestRunCommand:
          "error: invalid instance parameters: channel must have at least one tap"),
         (["--config", "{tmp}/one_point_grid.json"],
          "error: invalid instance parameters: grid_size must be at least 2, got 1"),
+        # an 8 EiB adjacency: numpy refuses it before allocating anything
+        (["--config", "{tmp}/huge_svm.json"],
+         "error: invalid instance parameters: Unable to allocate 6.94 EiB for an array with "
+         "shape (1000000000, 1000000000) and data type int64"),
     ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed", "out_is_file",
             "out_below_file", "config_is_directory", "config_not_utf8",
             "noninteger_target_delay", "zero_equalizer_taps", "negative_lasso_rows",
             "zero_lasso_columns", "zero_lasso_rows", "lasso_sparsity_above_n",
-            "equalizer_delay_past_output", "negative_equalizer_length", "one_point_fir_grid"])
+            "equalizer_delay_past_output", "negative_equalizer_length", "one_point_fir_grid",
+            "huge_svm_agent_count"])
     def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
         (tmp_path / "file.txt").write_text("")
         (tmp_path / "cfgdir").mkdir()
@@ -285,7 +290,8 @@ class TestRunCommand:
                 ("one_point_grid", "minimax_fir", {"grid_size": 1}),
                 ("negative_m", "lasso_huber", {"m": -1}), ("zero_n", "lasso_huber", {"n": 0}),
                 ("zero_m", "lasso_huber", {"m": 0}),
-                ("sparsity_above_n", "lasso_augmented", {"sparsity": 30})):
+                ("sparsity_above_n", "lasso_augmented", {"sparsity": 30}),
+                ("huge_svm", "svm_consensus", {"n_agents": 10**9})):
             (tmp_path / f"{stem}.json").write_text(json.dumps(
                 {"problem": problem, "instance": instance}))
         argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -366,6 +367,64 @@ class TestClosedFormsMatchSelection:
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 finite = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+weights = st.floats(0.0, 10.0)
+# signed offsets at every scale from 1e-12 to 0.1: a prox that switches
+# pieces at the wrong input is off only in a window of that width
+break_offsets = st.floats(-11.0, 11.0).map(lambda u: math.copysign(10.0 ** (abs(u) - 12.0), u))
+EPS = np.finfo(float).eps
+
+CONVEX_PROXES = {
+    "quadratic": st.builds(Quadratic, weights, finite),
+    "huber": st.builds(HuberL1, weights, st.floats(1e-3, 10.0)),
+    "soft_threshold": st.builds(SoftThreshold, weights),
+    "hinge": st.builds(Hinge, weights),
+    "pair_coupling": st.builds(PairCoupling, weights),
+    "one_sided_upper": st.builds(OneSidedPenalty, weights, finite, st.just("upper")),
+    "one_sided_lower": st.builds(OneSidedPenalty, weights, finite, st.just("lower")),
+}
+
+
+def prox_breaks(rel):
+    """The inputs d at which rel's prox changes from one piece to the next."""
+    w = rel.weight
+    if isinstance(rel, HuberL1):
+        return [-rel.halfwidth - w, rel.halfwidth + w]
+    if isinstance(rel, SoftThreshold):
+        return [-w, w]
+    if isinstance(rel, Hinge):
+        return [1.0 - w, 1.0]
+    if isinstance(rel, OneSidedPenalty):
+        return [rel.bound]
+    return [0.0]
+
+
+def pair_stacks(rel):
+    """Two stacks of the same n pairs, the shape PairCoupling takes and the
+    coordinatewise relations take as well; entries are anywhere or near
+    one of rel's prox breaks."""
+    entry = st.one_of(finite, *[break_offsets.map(lambda o, b=b: b + o) for b in prox_breaks(rel)])
+    return st.integers(1, 2).flatmap(lambda n: st.tuples(
+        *[st.lists(entry, min_size=2 * n, max_size=2 * n)] * 2)).map(
+        lambda vs: [np.reshape(v, (-1, 2)) for v in vs])
+
+
+def subdifferential(rel, x):
+    """[lo, hi], coordinatewise, of the subdifferential of rel's cost at x."""
+    w = rel.weight
+    if isinstance(rel, SoftThreshold):  # |x| is kinked at 0
+        return np.where(x == 0, -w, w * np.sign(x)), np.where(x == 0, w, w * np.sign(x))
+    if isinstance(rel, Hinge):  # max(0, 1 - x) is kinked at 1
+        return np.where(x <= 1.0, -w, 0.0), np.where(x < 1.0, -w, 0.0)
+    if isinstance(rel, Quadratic):
+        g = w * (x - rel.target)
+    elif isinstance(rel, HuberL1):
+        g = np.where(np.abs(x) <= rel.halfwidth, w * x / rel.halfwidth, w * np.sign(x))
+    elif isinstance(rel, PairCoupling):
+        g = w * (x[..., :1] - x[..., 1:]) * np.array([1.0, -1.0])
+    else:
+        sign = 1.0 if rel.side == "upper" else -1.0
+        g = sign * w * np.maximum(0.0, sign * (x - rel.bound))
+    return g, g
 
 
 class TestProxProperties:
@@ -399,6 +458,23 @@ class TestProxProperties:
         best = objective(rel.prox(np.array([d]))[0])
         for x in (soft, edge, plateau):
             assert best <= objective(x) + 1e-12 * (1 + d * d + height)
+
+    @pytest.mark.parametrize("kind", CONVEX_PROXES)
+    @PROPERTY
+    @given(data=st.data())
+    def test_prox_is_optimal_and_firmly_nonexpansive(self, kind, data):
+        rel = data.draw(CONVEX_PROXES[kind])
+        x, y = data.draw(pair_stacks(rel))
+        px, py = rel.prox(x), rel.prox(y)
+        # d - prox(d) lies in the subdifferential of f at prox(d), up to
+        # rounding relative to the magnitudes involved
+        for d, p in ((x, px), (y, py)):
+            lo, hi = subdifferential(rel, p)
+            slack = 16 * EPS * (1 + rel.weight) * (1 + np.abs(d) + np.abs(p))
+            assert np.all(lo - slack <= d - p) and np.all(d - p <= hi + slack)
+        # ||P x - P y||^2 <= <P x - P y, x - y>
+        diff, step = (px - py).ravel(), (x - y).ravel()
+        assert diff @ diff <= diff @ step + 1e-9 * (1 + step @ step)
 
 
 CONVEX_RELATIONS = [

@@ -17,7 +17,7 @@ from scatopt.engine import (
     run_error_system,
 )
 from scatopt.interconnect import AffineInterconnection, from_constraints
-from scatopt.pairs import Block, canonical_transform
+from scatopt.pairs import Block, PairTransform
 
 
 def single_quadratic_system(gamma=1.0, weight=1.0, target=0.0):
@@ -284,7 +284,7 @@ class TestReadout:
     def test_known_pair(self):
         # with c = sqrt(2), d = 0 the canonical transform, which readout
         # inverts, gives (1, 1)
-        a, b = canonical_transform().invert_many(np.array([np.sqrt(2.0)]), np.array([0.0]))
+        a, b = PairTransform().invert_many(np.array([np.sqrt(2.0)]), np.array([0.0]))
         assert a[0] == pytest.approx(1.0)
         assert b[0] == pytest.approx(1.0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scatopt.pairs import Block, PairTransform, canonical_transform
+from scatopt.pairs import Block, PairTransform
 
 
 class TestPairTransform:
@@ -9,28 +9,22 @@ class TestPairTransform:
     # applies the forward mixing (a, b) -> (c, d)
 
     def test_canonical_mixes_equal_pair(self):
-        c, d = canonical_transform().invert_many(1.0, 1.0)
+        c, d = PairTransform().invert_many(1.0, 1.0)
         assert c == pytest.approx(np.sqrt(2.0))
         assert d == pytest.approx(0.0)
 
-    def test_identity_transform(self):
-        ident = PairTransform(1.0, 0.0, 0.0, 1.0)
-        a, b = ident.invert_many(np.array([5.0, 3.0]), np.array([7.0, -2.0]))
-        np.testing.assert_array_equal(a, [5.0, 3.0])
-        np.testing.assert_array_equal(b, [7.0, -2.0])
-
     def test_canonical_single_unit(self):
-        c, d = canonical_transform().invert_many(1.0, 0.0)
+        c, d = PairTransform().invert_many(1.0, 0.0)
         assert c == pytest.approx(0.70711, abs=1e-5)
         assert d == pytest.approx(0.70711, abs=1e-5)
 
     def test_canonical_inverse_value(self):
-        a, b = canonical_transform().invert_many(np.sqrt(2.0), 0.0)
+        a, b = PairTransform().invert_many(np.sqrt(2.0), 0.0)
         assert a == pytest.approx(1.0, abs=1e-12)
         assert b == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_random(self):
-        M = canonical_transform()
+        M = PairTransform()
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(2, 100))
         qa, qb = M.invert_many(*M.invert_many(a, b))
@@ -38,22 +32,22 @@ class TestPairTransform:
         np.testing.assert_allclose(qb, b, rtol=0, atol=1e-12)
 
     def test_canonical_is_orthonormal_and_self_inverse(self):
-        M = canonical_transform()
+        M = PairTransform()
         # columns of the inverse are the images of the unit pairs
         inv = np.column_stack([M.invert_many(1.0, 0.0), M.invert_many(0.0, 1.0)])
-        fwd = np.array([[M.m11, M.m12], [M.m21, M.m22]])
-        assert np.abs(fwd.T @ fwd - np.eye(2)).max() < 1e-12
-        assert np.abs(inv - fwd).max() < 1e-12
+        assert np.abs(inv.T @ inv - np.eye(2)).max() < 1e-12
+        assert np.abs(inv @ inv - np.eye(2)).max() < 1e-12
+        assert np.abs(inv - np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)).max() < 1e-12
 
     def test_norm_preservation(self):
-        M = canonical_transform()
+        M = PairTransform()
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=100), rng.normal(size=100)
         c, d = M.invert_many(a, b)
         np.testing.assert_allclose(c**2 + d**2, a**2 + b**2, rtol=1e-12)
 
     def test_invert_many_matches_scalar(self):
-        M = canonical_transform()
+        M = PairTransform()
         rng = np.random.default_rng(2)
         c, d = rng.normal(size=5), rng.normal(size=5)
         a, b = M.invert_many(c, d)
@@ -61,10 +55,6 @@ class TestPairTransform:
             ai, bi = M.invert_many(c[i], d[i])
             assert a[i] == ai
             assert b[i] == bi
-
-    def test_singular_transform_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            PairTransform(1.0, 2.0, 2.0, 4.0)
 
 
 class TestBlock:

@@ -7,6 +7,8 @@ look them up.  A deleted or moved name would only fail under
 table and resolves each entry without installing the tracer.  A loop that
 applied the interconnection without its `apply` would leave the
 `interconnect.apply` span empty; the apply count test fails first there.
+Likewise a readout inlined into `run` would leave the `pairs.readout` span
+empty; the readout count test fails first.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scatopt import problems
@@ -67,3 +70,23 @@ def test_loop_applies_interconnection_once_per_residual(monkeypatch, name):
     calls.clear()
     res, _ = run_ensemble(system, [0, 1, 2], p=0.1, tol=1e-4, max_iters=300)
     assert calls == [(3, system.dim)] * res.shape[1]
+
+
+@pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
+def test_run_reads_out_through_the_pair_site_once(monkeypatch, name):
+    system = problems.build(name, problems.default_instance(name, seed=0)).system
+    plain = run(system, DelayBank(), tol=1e-4, max_iters=300)
+    (module_name, attr), = [(m, a) for m, a, span in tracing.PATCH_SITES
+                            if span == "pairs.readout"]
+    owner, leaf = _resolve(module_name, attr)
+    invert, calls = owner.__dict__[leaf], []
+
+    def counted(self, c, d):
+        calls.append(len(d))
+        return invert(self, c, d)
+
+    monkeypatch.setattr(owner, leaf, counted)
+    result = run(system, DelayBank(), tol=1e-4, max_iters=300)
+    assert calls == [system.dim]
+    assert np.array_equal(result.a, plain.a)
+    assert np.array_equal(result.b, plain.b)
