@@ -496,11 +496,12 @@ class EqualizerInstance:
         self.lower_env = np.asarray(self.lower_env, dtype=float)
         if self.upper_env.shape != (m,) or self.lower_env.shape != (m,):
             raise ValueError(f"envelopes must have one entry per output sample ({m})")
+        for name in ("upper_env", "lower_env"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.upper_env < self.lower_env):
             raise ValueError("upper envelope dips below lower envelope")
-        if target.max() > self.upper_env[self.target_delay] or (
-            target[self.target_delay] < self.lower_env[self.target_delay]
-        ):
+        if not self.lower_env[self.target_delay] <= 1 <= self.upper_env[self.target_delay]:
             raise ValueError("envelope infeasible at the target impulse")
         for name in ("cap_height", "notch_width", "upper_weight", "lower_weight"):
             _check(getattr(self, name), name, strict=name == "notch_width")

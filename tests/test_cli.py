@@ -183,6 +183,17 @@ class TestRunCommand:
                                                f"{band} must be nonnegative and finite, "
                                                f"got {value}\n")
             assert not (tmp_path / "fir").exists()
+        # a finite band weight so large that the constraint matrix's Gram matrix overflows
+        cfg_path.write_text(json.dumps({"instance": {"stopband_weight": 1e200}}))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--problem", "minimax_fir", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "fir")]) == 1
+        assert not caught
+        assert capsys.readouterr().err == ("error: invalid instance parameters: constraint "
+                                           "matrix A is too large: its Gram matrix overflows\n")
+        assert not (tmp_path / "fir").exists()
         # values of the wrong JSON type
         for bad in ({"max_iters": 1000.5}, {"p": "0.1"}, {"tol": None},
                     {"instance": [1, 2]}, {"seed": 1.5}, {"gamma": True}):
@@ -192,17 +203,20 @@ class TestRunCommand:
             assert capsys.readouterr().err.startswith(f"error: {next(iter(bad))} must be "), bad
 
     def test_nan_envelope_exit_code(self, tmp_path, capsys):
-        # JSON `NaN` is read as a float; the envelope fails before the solve
+        # JSON `NaN` and `Infinity` are read as floats; the envelope that
+        # holds one is named before the solve
         m = problems.default_instance("sparse_equalizer").upper_env.size
         cfg_path = tmp_path / "cfg.json"
-        envelope = [float("nan")] + [1.0] * (m - 1)
-        cfg_path.write_text(json.dumps({"instance": {"upper_env": envelope}}))
         out = tmp_path / "eq"
-        assert main(["run", "--problem", "sparse_equalizer", "--config", str(cfg_path),
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: invalid instance parameters: bound must be finite\n"
-        assert not (out / "summary.json").exists()
+        for key in ("upper_env", "lower_env"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                envelope = [value] + [0.0 if key == "lower_env" else 1.0] * (m - 1)
+                cfg_path.write_text(json.dumps({"instance": {key: envelope}}))
+                assert main(["run", "--problem", "sparse_equalizer", "--config",
+                             str(cfg_path), "--out", str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err == f"error: invalid instance parameters: {key} must be finite\n"
+                assert not out.exists()
 
     def test_invalid_p_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
+import ast
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +357,46 @@ class TestFromConstraints:
         with pytest.raises(ValueError, match="offset shape"):
             from_constraints(A, np.array([0, 1]), np.array([2, 3]), offset=np.zeros(3))
 
+    @pytest.mark.parametrize("A, form", [
+        (np.random.default_rng(26).normal(size=(20, 30)), AffineInterconnection),
+        (np.random.default_rng(27).normal(size=(40, 10)), AffineInterconnection),
+        (np.random.default_rng(28).normal(size=(300, 400)), FactoredReflection),
+        (np.kron(np.eye(40), np.ones((1, 2))), BlockReflection),
+    ], ids=["dense", "dense_tall", "factored", "block"])
+    def test_overflowing_gram_rejected(self, A, form):
+        # finite data whose I + A A^T (or I + A^T A) overflows is an error
+        # naming A on every path, not an identity map; tier-1 turns any
+        # RuntimeWarning that escapes into a failure too
+        m, nf = A.shape
+        args = np.arange(nf), np.arange(nf, nf + m), np.ones(m)
+        assert type(from_constraints(A, *args)) is form
+        with pytest.raises(ValueError, match="constraint matrix A is too large: its Gram"):
+            from_constraints(A * 1e200, *args)
+
+    def test_only_from_constraints_builds_the_implicit_forms(self):
+        # the block and factored forms check only their offset and stored
+        # matrix, trusting from_constraints for the rest: no other code of
+        # the package may call their constructors
+        forms = {"BlockReflection", "FactoredReflection"}
+
+        def calls(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in forms:
+                        yield inner, name
+                yield from calls(child, inner)
+
+        found = set()
+        for path in Path(interconnect.__file__).parent.glob("*.py"):
+            found.update(calls(ast.parse(path.read_text()), path.stem))
+        assert found == {("interconnect._block_reflection", "BlockReflection"),
+                         ("interconnect.from_constraints", "FactoredReflection")}
+
 
 class TestFactoredReflection:
     """Above DENSE_MAX_DIM coordinates `from_constraints` keeps G = sign
@@ -440,20 +482,8 @@ class TestFactoredReflection:
         A, free, resid, K = np.ones((2, 3)), np.arange(3), np.arange(3, 5), np.eye(2)
         assert FactoredReflection(np.zeros(5), A, free, resid, K).sign == 1.0
         assert FactoredReflection(np.zeros(5), A.T, resid - 3, free + 2, K).sign == -1.0
-        for args in ((np.zeros(4), A, free, resid, K),
-                     (np.zeros(5), A.T, free, resid, K),
-                     (np.zeros(5), A[0], free, resid, K),
-                     (np.zeros(5), A, free[:2], resid, K),
-                     (np.zeros(5), A, free, resid[:, None], K),
-                     (np.zeros(5), A, free, resid, np.eye(3))):
-            with pytest.raises(ValueError, match="do not match"):
-                FactoredReflection(*args)
-        with pytest.raises(ValueError, match="do not partition"):
-            FactoredReflection(np.zeros(5), A, np.array([0, 1, 1]), resid, K)
         with pytest.raises(ValueError, match="offset contains non-finite"):
             FactoredReflection(np.array([0.0, 0.0, 0.0, 0.0, np.nan]), A, free, resid, K)
-        with pytest.raises(ValueError, match="A contains non-finite"):
-            FactoredReflection(np.zeros(5), A * np.inf, free, resid, K)
         with pytest.raises(ValueError, match="gram_inv contains non-finite"):
             FactoredReflection(np.zeros(5), A, free, resid, K * np.nan)
 
@@ -617,14 +647,6 @@ class TestBlockReflection:
     def test_constructor_validation(self):
         index, blocks = (np.array([[0, 2], [1, 3]]),), (np.stack([np.eye(2)] * 2),)
         assert np.array_equal(BlockReflection(np.zeros(4), index, blocks).G, np.eye(4))
-        with pytest.raises(ValueError, match="partition"):
-            BlockReflection(np.zeros(5), index, blocks)
-        with pytest.raises(ValueError, match="partition"):
-            BlockReflection(np.zeros(4), (np.array([[0, 2], [1, 2]]),), blocks)
-        with pytest.raises(ValueError, match=r"\(nb, k, k\) stack"):
-            BlockReflection(np.zeros(4), index, (np.eye(2),))
-        with pytest.raises(ValueError, match=r"\(nb, k, k\) stack"):
-            BlockReflection(np.zeros(4), index, blocks + blocks)
         with pytest.raises(ValueError, match="blocks contain non-finite"):
             BlockReflection(np.zeros(4), index, (blocks[0] + np.inf,))
         with pytest.raises(ValueError, match="offset contains non-finite"):

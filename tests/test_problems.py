@@ -680,6 +680,9 @@ class TestSparseEqualizer:
                 channel=np.ones(2), num_taps=2,
                 upper_env=-np.ones(3), lower_env=np.ones(3),
             )
+        for upper, lower in ((np.full(3, 0.9), np.zeros(3)), (np.full(3, 2.0), np.full(3, 1.1))):
+            with pytest.raises(ValueError, match="infeasible at the target"):
+                EqualizerInstance(channel=np.ones(2), num_taps=2, upper_env=upper, lower_env=lower)
 
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="at least one tap"):
