@@ -18,7 +18,7 @@ from pathlib import Path
 from . import monitor, problems
 from .elements import dissipativity_probe
 from .engine import DelayBank, run
-from .interconnect import BlockReflection, check_orthonormal
+from .interconnect import BlockReflection, GramOverflowError, check_orthonormal
 
 __all__ = ["main", "RunConfig"]
 
@@ -70,6 +70,9 @@ class RunConfig:
         try:
             inst = problems.default_instance(self.problem, seed=self.seed, params=self.instance)
             built = problems.build(self.problem, inst, params=self.instance)
+        except GramOverflowError as exc:  # no one value overflows alone: name all set
+            keys = "; the config sets " + (", ".join(self.instance) or "no instance parameter")
+            raise ConfigError(f"invalid instance parameters: {exc}{keys}") from exc
         except (TypeError, ValueError, MemoryError) as exc:
             raise ConfigError(f"invalid instance parameters: {exc}") from exc
         built.system.gamma = self.gamma

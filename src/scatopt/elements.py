@@ -14,8 +14,8 @@ a stack `(..., k, L)`; `group_elements` makes one call of it per group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,6 +45,15 @@ def _check(value, name: str, strict: bool = False) -> None:
         raise ValueError(f"{name} must be {kind} and finite, got {value}")
 
 
+def _cached_operands(terms):
+    """A cached property, `terms(relation)` as float arrays, 0-d for a scalar: a ufunc
+    call on a small array takes 0.2 us longer with a Python float operand, same result."""
+    return cached_property(lambda rel: tuple(np.asarray(v, dtype=float) for v in terms(rel)))
+
+
+_ZERO, _HALF, _ONE = (np.broadcast_to(v, ()) for v in (0.0, 0.5, 1.0))  # read-only 0-d
+
+
 def _total(weight, values) -> float:
     """sum_i weight_i values_i; a scalar weight multiplies the plain sum."""
     if np.ndim(weight) == 0:
@@ -64,12 +73,13 @@ class Quadratic:
     target: float = 0.0
     scale_field = "weight"
     dissipative = True
+    _operands = _cached_operands(lambda r: (r.weight * r.target, 1.0 + r.weight))
 
     def __post_init__(self):
         _check(self.weight, "weight")
 
     def prox(self, d):
-        return (d + self.weight * self.target) / (1.0 + self.weight)
+        return (d + self._operands[0]) / self._operands[1]
 
     def cost(self, x):
         return _total(0.5 * self.weight, (np.asarray(x) - self.target) ** 2)
@@ -89,6 +99,8 @@ class HuberL1:
     halfwidth: float
     scale_field = "weight"
     dissipative = True
+    _operands = _cached_operands(
+        lambda r: (r.weight, 1.0 + r.weight / r.halfwidth, r.halfwidth + r.weight))
 
     def __post_init__(self):
         _check(self.weight, "weight")
@@ -96,10 +108,9 @@ class HuberL1:
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        knee = self.halfwidth + self.weight
-        inner = d / (1.0 + self.weight / self.halfwidth)
-        outer = np.sign(d) * (np.abs(d) - self.weight)
-        return np.where(np.abs(d) <= knee, inner, outer)
+        w, inner_scale, knee = self._operands
+        mag = np.abs(d)
+        return np.where(mag <= knee, d / inner_scale, np.sign(d) * (mag - w))
 
     def cost(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -115,13 +126,14 @@ class SoftThreshold:
     weight: float
     scale_field = "weight"
     dissipative = True
+    _operands = _cached_operands(lambda r: (r.weight,))
 
     def __post_init__(self):
         _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        return np.sign(d) * np.maximum(np.abs(d) - self.weight, 0.0)
+        return np.sign(d) * np.maximum(np.abs(d) - self._operands[0], _ZERO)
 
     def cost(self, x):
         return _total(self.weight, np.abs(x))
@@ -148,12 +160,16 @@ class LinfEpigraph:
     def prox(self, d):
         d = np.asarray(d, dtype=float)
         e, t = d[..., :-1], d[..., -1:]
-        srt = np.sort(np.abs(e), axis=-1)[..., ::-1]
-        levels = (np.cumsum(srt, axis=-1) + t) / (np.arange(e.shape[-1]) + 2.0)
+        srt = np.abs(e)
+        srt.sort(axis=-1)  # ascending; np.add.accumulate is np.cumsum minus its dispatch
+        levels = (np.add.accumulate(srt[..., ::-1], -1) + t) / np.arange(2.0, d.shape[-1] + 1.0)
         # a feasible point keeps its t exactly: with tied magnitudes the
         # rounded cumulative sum can lift a level above t by an ulp
-        t_new = np.where(srt[..., :1] <= t, t, np.maximum(levels.max(axis=-1, keepdims=True), 0.0))
-        return np.concatenate([np.minimum(np.maximum(e, -t_new), t_new), t_new], axis=-1)
+        t_new = np.where(srt[..., -1:] <= t, t, np.maximum(levels.max(-1, keepdims=True), _ZERO))
+        out = np.empty_like(d)
+        out[..., -1:] = t_new
+        np.minimum(np.maximum(e, -t_new, out=out[..., :-1]), t_new, out=out[..., :-1])
+        return out
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -173,13 +189,14 @@ class Hinge:
     weight: float
     scale_field = "weight"
     dissipative = True
+    _operands = _cached_operands(lambda r: (r.weight,))
 
     def __post_init__(self):
         _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        return np.where(d >= 1.0, d, np.minimum(d + self.weight, 1.0))
+        return np.where(d >= _ONE, d, np.minimum(d + self._operands[0], _ONE))
 
     def cost(self, x):
         return _total(self.weight, np.maximum(0.0, 1.0 - np.asarray(x)))
@@ -196,17 +213,18 @@ class PairCoupling:
     scale_field = "weight"
     dissipative = True
     blockwise = True
+    _operands = _cached_operands(lambda r: (r.weight / (1.0 + 2.0 * r.weight),))
 
     def __post_init__(self):
         _check(self.weight, "weight")
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        shrink = self.weight / (1.0 + 2.0 * self.weight)
-        diff = d[..., 0] - d[..., 1]
-        out = d.copy()
-        out[..., 0] -= shrink * diff
-        out[..., 1] += shrink * diff
+        shift = d[..., 0] - d[..., 1]
+        shift *= self._operands[0]
+        out = np.empty_like(d)
+        np.subtract(d[..., 0], shift, out=out[..., 0])
+        np.add(d[..., 1], shift, out=out[..., 1])
         return out
 
     def cost(self, x):
@@ -228,6 +246,7 @@ class OneSidedPenalty:
     side: str = "upper"
     scale_field = "weight"
     dissipative = True
+    _operands = _cached_operands(lambda r: (r.weight * r.bound, 1.0 + r.weight, r.bound))
 
     def __post_init__(self):
         _check(self.weight, "weight")
@@ -240,10 +259,11 @@ class OneSidedPenalty:
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        pulled = (d + self.weight * self.bound) / (1.0 + self.weight)
+        shift, scale, bound = self._operands
+        pulled = (d + shift) / scale
         if self.side == "upper":
-            return np.where(d <= self.bound, d, pulled)
-        return np.where(d >= self.bound, d, pulled)
+            return np.where(d <= bound, d, pulled)
+        return np.where(d >= bound, d, pulled)
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -273,24 +293,26 @@ class CappedL1:
     notch_width: float
     scale_field = "height"
     dissipative = False
+    _operands = _cached_operands(
+        lambda r: (r.height, r.notch_width, -r.notch_width, r.height / r.notch_width))
 
     def __post_init__(self):
         _check(self.height, "height")
         _check(self.notch_width, "notch_width", strict=True)
 
-    def _candidate_cost(self, x, d):
-        return 0.5 * (x - d) ** 2 + self.height * np.minimum(
-            np.abs(x) / self.notch_width, 1.0
-        )
-
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        slope = self.height / self.notch_width
-        st = np.sign(d) * np.maximum(np.abs(d) - slope, 0.0)
-        st = np.clip(st, -self.notch_width, self.notch_width)
-        plateau = np.where(np.abs(d) >= self.notch_width, d, np.sign(d) * self.notch_width)
-        better = self._candidate_cost(st, d) <= self._candidate_cost(plateau, d)
-        return np.where(better, st, plateau)
+        h, w, neg_w, slope = self._operands
+        mag, sgn = np.abs(d), np.sign(d)
+        both = np.empty((2,) + d.shape)  # st, then the plateau point
+        st = np.multiply(np.maximum(mag - slope, _ZERO), sgn, out=both[0])
+        np.minimum(np.maximum(st, neg_w, out=st), w, out=st)
+        both[1] = np.where(mag >= w, d, sgn * w)
+        # each candidate's prox objective, (x - d)^2 / 2 + f(x), in one pass
+        cost = np.square(both - d)
+        cost *= _HALF
+        cost += np.minimum(np.abs(both) / w, _ONE) * h
+        return np.where(cost[0] <= cost[1], st, both[1])
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -341,15 +363,16 @@ def group_elements(elements) -> list:
     for el in elements:
         rel = el.relation
         length = el.block.length if getattr(rel, "blockwise", False) else None
+        # the cached `_operands` sit in `vars` too, but are no strings
         text = tuple(v for v in vars(rel).values() if isinstance(v, str))
         groups.setdefault((type(rel), length, text), []).append(el)
     bank = []
     for (_, length, _), members in groups.items():
         sizes = [1 if length else el.block.length for el in members]
         params = {}
-        for name, first in vars(members[0].relation).items():
-            values = [vars(el.relation)[name] for el in members]
-            if isinstance(first, str) or all(np.ndim(v) == 0 and v == first for v in values):
+        for name in (f.name for f in fields(members[0].relation)):
+            values = [getattr(el.relation, name) for el in members]
+            if isinstance(values[0], str) or all(np.ndim(v) == 0 and v == values[0] for v in values):
                 continue
             params[name] = np.concatenate([
                 np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v, n in zip(values, sizes)])

@@ -44,6 +44,7 @@ __all__ = [
     "OrthonormalityReport",
     "AffineInterconnection",
     "from_constraints",
+    "GramOverflowError",
 ]
 
 
@@ -110,6 +111,10 @@ def _sign(A: np.ndarray) -> float:
     return 1.0 if m <= nf else -1.0
 
 
+class GramOverflowError(ValueError):
+    """The constraint data are finite but too large: I + A A^T overflows."""
+
+
 def _gram_inverse(A: np.ndarray) -> np.ndarray:
     """K^-1 for the smaller Gram matrix, K = I + A A^T (sign +1) or
     I + A^T A (sign -1), of A (m, nf) or of each A of a stack (nb, m, nf)."""
@@ -117,7 +122,7 @@ def _gram_inverse(A: np.ndarray) -> np.ndarray:
     At = np.swapaxes(A, -1, -2)
     K = np.eye(m) + A @ At if m <= nf else np.eye(nf) + At @ A
     if not np.all(np.isfinite(K)):
-        raise ValueError("constraint matrix A is too large: its Gram matrix overflows")
+        raise GramOverflowError("constraint matrix A is too large: its Gram matrix overflows")
     return np.linalg.inv(K)
 
 
@@ -267,8 +272,8 @@ class BlockReflection(_FormedOnRead):
             if c.ndim == 1:
                 out[i] = (B @ c[i][..., None])[..., 0]
             else:
-                # (nb, k, k) @ (nb, k, R): one matrix product per block for all R rows
-                out.T[i] = B @ c.T[i]
+                # (nb, k, k) @ (nb, k, R), gathered as c[:, i]: c.T[i]'s layout, faster
+                out.T[i] = B @ c[:, i].transpose(1, 2, 0)
         return out
 
 

@@ -192,7 +192,8 @@ class TestRunCommand:
                          "--out", str(tmp_path / "fir")]) == 1
         assert not caught
         assert capsys.readouterr().err == ("error: invalid instance parameters: constraint "
-                                           "matrix A is too large: its Gram matrix overflows\n")
+                                           "matrix A is too large: its Gram matrix overflows; "
+                                           "the config sets stopband_weight\n")
         assert not (tmp_path / "fir").exists()
         # values of the wrong JSON type
         for bad in ({"max_iters": 1000.5}, {"p": "0.1"}, {"tol": None},

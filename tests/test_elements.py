@@ -658,3 +658,148 @@ class TestCostScale:
         assert np.all(cost(y) - cost(x) - np.sum((d - x) * (y - x), axis=-1) >= -1e-9)
         epigraph = LinfEpigraph()
         assert scaled_relation(epigraph, 4, alpha) is epigraph
+
+
+def plain_prox(rel, d):
+    """Each prox as first written, one numpy call per term and Python float
+    parameters; the faster forms must give the same bits."""
+    d = np.asarray(d, dtype=float)
+    if isinstance(rel, Quadratic):
+        return (d + rel.weight * rel.target) / (1.0 + rel.weight)
+    if isinstance(rel, HuberL1):
+        knee = rel.halfwidth + rel.weight
+        inner = d / (1.0 + rel.weight / rel.halfwidth)
+        outer = np.sign(d) * (np.abs(d) - rel.weight)
+        return np.where(np.abs(d) <= knee, inner, outer)
+    if isinstance(rel, SoftThreshold):
+        return np.sign(d) * np.maximum(np.abs(d) - rel.weight, 0.0)
+    if isinstance(rel, LinfEpigraph):
+        e, t = d[..., :-1], d[..., -1:]
+        srt = np.sort(np.abs(e), axis=-1)[..., ::-1]
+        levels = (np.cumsum(srt, axis=-1) + t) / (np.arange(e.shape[-1]) + 2.0)
+        t_new = np.where(srt[..., :1] <= t, t, np.maximum(levels.max(axis=-1, keepdims=True), 0.0))
+        return np.concatenate([np.minimum(np.maximum(e, -t_new), t_new), t_new], axis=-1)
+    if isinstance(rel, Hinge):
+        return np.where(d >= 1.0, d, np.minimum(d + rel.weight, 1.0))
+    if isinstance(rel, PairCoupling):
+        shrink = rel.weight / (1.0 + 2.0 * rel.weight)
+        diff = d[..., 0] - d[..., 1]
+        out = d.copy()
+        out[..., 0] -= shrink * diff
+        out[..., 1] += shrink * diff
+        return out
+    if isinstance(rel, OneSidedPenalty):
+        pulled = (d + rel.weight * rel.bound) / (1.0 + rel.weight)
+        if rel.side == "upper":
+            return np.where(d <= rel.bound, d, pulled)
+        return np.where(d >= rel.bound, d, pulled)
+    assert isinstance(rel, CappedL1)
+
+    def candidate_cost(x):
+        return 0.5 * (x - d) ** 2 + rel.height * np.minimum(np.abs(x) / rel.notch_width, 1.0)
+
+    slope = rel.height / rel.notch_width
+    st = np.sign(d) * np.maximum(np.abs(d) - slope, 0.0)
+    st = np.clip(st, -rel.notch_width, rel.notch_width)
+    plateau = np.where(np.abs(d) >= rel.notch_width, d, np.sign(d) * rel.notch_width)
+    return np.where(candidate_cost(st) <= candidate_cost(plateau), st, plateau)
+
+
+def float_bits(x):
+    """The IEEE bit patterns of x: unlike ==, they tell -0.0 from 0.0."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def coordinate_breaks(rel):
+    """Inputs at which rel's prox changes piece or its candidates tie, one
+    value per coordinate (arrays for per-coordinate parameters)."""
+    if isinstance(rel, Quadratic):
+        return [rel.target]
+    if isinstance(rel, HuberL1):
+        return [rel.halfwidth + rel.weight, -(rel.halfwidth + rel.weight), rel.halfwidth]
+    if isinstance(rel, (SoftThreshold, PairCoupling)):
+        return [rel.weight, -rel.weight]
+    if isinstance(rel, Hinge):
+        return [1.0 - rel.weight, 1.0]
+    if isinstance(rel, OneSidedPenalty):
+        return [rel.bound]
+    # the notch edge, the soft threshold's knee, and the tie of st with the
+    # plateau at |d| = w + lam / 2 (exact at height = notch_width = 1, d = 1.5)
+    w, lam = rel.notch_width, rel.height / rel.notch_width
+    return [w, -w, lam, -lam, w + lam / 2, -(w + lam / 2)]
+
+
+def epigraph_points(L, rng):
+    """Blocks (e, t) of length L: ties among the |e_i|, feasible points with
+    max|e| = t exactly, signed zeros, and random ones at several scales."""
+    a = rng.uniform(0.5, 2.0)
+    tied = np.resize([a, -a], L - 1)
+    rows = [np.append(tied, t) for t in (a, np.nextafter(a, 0.0), -a, 0.0, -0.0, 3.0 * a)]
+    rows += [np.append(np.resize([0.0, -0.0], L - 1), t) for t in (0.0, -0.0, 1.0, -1.0)]
+    e = rng.normal(size=L - 1)
+    rows += [np.append(e, np.abs(e).max()), np.append(e, -np.abs(e).max())]
+    rows += list(rng.normal(size=(6, L)) * np.array([[1e-3], [1.0], [1e3], [1.0], [1e-8], [1e8]]))
+    return np.array(rows)
+
+
+class TestProxBits:
+    """The rewritten proxes give `plain_prox`'s bits exactly: on random
+    inputs at several scales, at every breakpoint and its neighbouring
+    floats, at +-0.0, on stacked (R, k, L) inputs and with per-coordinate
+    (or per-block) parameters."""
+
+    L = 6
+    CASES = {
+        "quadratic": Quadratic(2.0, 0.5),
+        "quadratic_free": Quadratic(0.0),
+        "quadratic_zero_target": Quadratic(3.0),
+        "quadratic_per_coordinate": Quadratic(np.linspace(0.0, 3.0, L), np.linspace(-1.0, 1.0, L)),
+        "huber": HuberL1(1.0, 0.01),
+        "huber_per_coordinate": HuberL1(np.linspace(0.0, 2.0, L), np.linspace(0.1, 1.5, L)),
+        "soft_threshold": SoftThreshold(0.7),
+        "soft_threshold_per_coordinate": SoftThreshold(np.linspace(0.0, 2.0, L)),
+        "hinge": Hinge(3.0),
+        "hinge_per_coordinate": Hinge(np.linspace(0.1, 2.3, L)),
+        "one_sided_upper": OneSidedPenalty(0.1, np.linspace(-1.0, 1.0, L), "upper"),
+        "one_sided_lower": OneSidedPenalty(10.0, 0.25, "lower"),
+        "one_sided_per_coordinate": OneSidedPenalty(np.linspace(0.0, 4.0, L), -0.5, "lower"),
+        "capped_l1": CappedL1(0.1, 0.05),
+        "capped_l1_tie": CappedL1(1.0, 1.0),
+        "capped_l1_per_coordinate": CappedL1(np.linspace(0.2, 1.2, L), np.linspace(0.5, 1.0, L)),
+    }
+
+    @staticmethod
+    def assert_same_bits(rel, d):
+        got, want = rel.prox(d), plain_prox(rel, d)
+        assert got.shape == want.shape == np.shape(d)
+        assert np.array_equal(float_bits(got), float_bits(want)), (rel, d, got, want)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_coordinatewise(self, name):
+        rel, L = self.CASES[name], self.L
+        rng = np.random.default_rng(sum(map(ord, name)))
+        at = np.array([np.broadcast_to(b, (L,)) for b in coordinate_breaks(rel)], dtype=float)
+        rows = [at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf), np.zeros((1, L)),
+                np.full((1, L), -0.0)]
+        rows += [rng.normal(scale=s, size=(8, L)) for s in (1e-3, 1.0, 1e3)]
+        d = np.concatenate(rows)
+        for x in (d, d[0], d[: len(d) // 2 * 2].reshape(-1, 2, L)):  # (R, L), (L,), (R, k, L)
+            self.assert_same_bits(rel, x)
+
+    @pytest.mark.parametrize("L", [2, 3, 7])
+    def test_epigraph(self, L):
+        rng = np.random.default_rng(L)
+        d = epigraph_points(L, rng)
+        for x in (d, d[0], d.reshape(2, -1, L), d[:, None, :]):  # (k, L), (L,), (R, k, L)
+            self.assert_same_bits(LinfEpigraph(), x)
+
+    def test_pair_coupling(self):
+        rng = np.random.default_rng(23)
+        for rel in (PairCoupling(30.0), PairCoupling(0.0), PairCoupling(np.linspace(0, 4, 5))):
+            w = np.broadcast_to(rel.weight, (5,))
+            # equal entries, entries a weight apart, signed zeros, and random pairs
+            d = np.stack([np.stack([w, w], -1), np.stack([w, -w], -1), np.zeros((5, 2)),
+                          np.full((5, 2), -0.0), np.stack([np.zeros(5), np.full(5, -0.0)], -1),
+                          *rng.normal(scale=1e3, size=(3, 5, 2)), *rng.normal(size=(3, 5, 2))])
+            for x in (d, d[0]):  # (R, k, 2) with per-block parameters, and (k, 2)
+                self.assert_same_bits(rel, x)

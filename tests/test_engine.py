@@ -1,5 +1,6 @@
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +171,45 @@ class TestDelayBank:
         second = [bank.triggers(system).copy() for _ in range(10)]
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
+
+
+class TestTriggerStream:
+    """`DelayBank.triggers` serves uniforms drawn 64 calls ahead and
+    `run_ensemble` draws 64 iterations of masks at once; both must still
+    give `default_rng(seed).random(N) < p` one call at a time."""
+
+    def test_masks_match_the_stream_call_by_call(self):
+        bank = DelayBank("asynchronous", 0.3, 11)
+        rng, drawn = bank._rng, []
+        bank._rng = SimpleNamespace(random=lambda n: drawn.append(n) or rng.random(n))
+        ref = np.random.default_rng(11)
+        for k in range(400):
+            n = (7, 300, 1, 64)[k % 4]  # alternating dims, leftovers at every refill
+            if k == 250:
+                bank.p = 0.8  # a live p: the stream stays, the threshold moves
+            assert np.array_equal(bank.triggers(SimpleNamespace(dim=n)), ref.random(n) < bank.p)
+        assert len(drawn) >= 3
+        bank.reset()
+        ref = np.random.default_rng(11)
+        for n in (5, 300, 5):
+            assert np.array_equal(bank.triggers(SimpleNamespace(dim=n)), ref.random(n) < 0.8)
+
+    def test_synchronous_masks_are_all_true(self):
+        assert DelayBank().triggers(SimpleNamespace(dim=4)).tolist() == [True] * 4
+
+    def test_ensemble_masks_match_one_call_at_a_time(self, monkeypatch):
+        system, *_ = least_squares_system()
+        seeds, p, masks = [3, 5, 8], 0.25, []
+
+        def drawing_loop(step, d, tol, max_iters, resids, draw=None, observe=None):
+            masks.extend(draw().copy() for _ in range(200))  # three refills and a part
+            return d, 0, False
+
+        monkeypatch.setattr(engine, "_iterate", drawing_loop)
+        run_ensemble(system, seeds, p=p)
+        refs = [np.random.default_rng(s) for s in seeds]
+        for mask in masks:
+            assert np.array_equal(mask, np.stack([r.random(system.dim) < p for r in refs]))
 
 
 class TestRun:

@@ -620,6 +620,21 @@ class TestBlockReflection:
             np.testing.assert_allclose(ic.apply(c), c @ G.T + s, rtol=0, atol=1e-14)
             assert ic.apply(c).shape == c.shape
 
+    def test_stacked_product_bits(self, system):
+        # the (R, N) product gathers c[:, i]; it must give the bits of the
+        # plain gather c.T[i], on every block size here and on the svm's
+        ic = system[-1]
+        svm = problems.build("svm_consensus", problems.default_instance("svm_consensus")).system
+        rng = np.random.default_rng(75)
+        for form in (ic, svm.interconnection):
+            assert type(form) is BlockReflection
+            for R in (1, 3, 20):
+                c = rng.normal(size=(R, form.dim)) * 10.0 ** rng.integers(-3, 4, size=(R, 1))
+                want = np.empty_like(c)
+                for i, B in zip(form.index, form.blocks):
+                    want.T[i] = B @ c.T[i]
+                assert np.array_equal(form.linear(c), want)
+
     def test_symmetric_involution_formed_on_access(self, system):
         ic = system[-1]
         G = ic.G
