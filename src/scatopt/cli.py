@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import monitor, problems
 from .elements import dissipativity_probe
-from .engine import DelayBank, run
+from .engine import DelayBank, _check_gamma, _check_limits, run
 from .interconnect import BlockReflection, GramOverflowError, check_orthonormal
 
 __all__ = ["main", "RunConfig"]
@@ -41,22 +40,17 @@ class RunConfig:
 
     def __post_init__(self):
         problems.check_params(vars(self), self.__annotations__, "the config", ConfigError)
-        if self.problem not in problems.PROBLEM_NAMES:
-            raise ConfigError(
-                f"unknown problem {self.problem!r}; choose from {', '.join(problems.PROBLEM_NAMES)}"
-            )
         if self.mode not in ("sync", "async"):
             raise ConfigError(f"mode must be 'sync' or 'async', got {self.mode!r}")
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"p must lie in (0, 1], got {self.p}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 0:
-            raise ConfigError(f"max_iters must be nonnegative, got {self.max_iters}")
+        # each setting is checked by its user, before anything is built: `verify`
+        # clamps tol and max_iters, so `run` would not see every bad value
+        try:
+            problems._problem(self.problem)
+            self.delay_bank()  # p and seed
+            _check_gamma(self.gamma)
+            _check_limits(self.tol, self.max_iters)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         out = Path(self.out)
         blocked = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
         if blocked is not None:
@@ -64,7 +58,7 @@ class RunConfig:
 
     def delay_bank(self) -> DelayBank:
         mode = "asynchronous" if self.mode == "async" else "synchronous"
-        return DelayBank(mode=mode, p=self.p if self.mode == "async" else 1.0, seed=self.seed)
+        return DelayBank(mode=mode, p=self.p, seed=self.seed)
 
     def built_problem(self) -> problems.BuiltProblem:
         try:

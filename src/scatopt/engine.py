@@ -61,6 +61,7 @@ class System:
     ):
         self.gamma, self.alpha = gamma, 1.0
         self.interconnection = ic = interconnection
+        self.dim = n = ic.dim
         self.linear_cost, self.loop_map = None, ic
         if linear_cost is not None:
             g = _vector(self, "linear_cost", linear_cost)
@@ -72,7 +73,6 @@ class System:
         # the blocks must partition 0..N-1: count each coordinate's owners
         # from the bank's index sets, where np.add.at (unlike `+=`) adds up
         # a coordinate that one gathered group lists twice
-        n = self.dim
         owners = np.zeros(n, dtype=int)
         for idx, _, _ in self._bank:
             top = idx.stop if isinstance(idx, slice) else int(idx.max()) + 1
@@ -115,13 +115,8 @@ class System:
 
     @gamma.setter
     def gamma(self, gamma: float):
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+        _check_gamma(gamma)
         self._gamma = gamma
-
-    @property
-    def dim(self) -> int:
-        return self.interconnection.dim
 
     def apply_elements(self, d: np.ndarray) -> np.ndarray:
         """Blockwise reflected map, c = m(d) = 2 prox(d) - d, of a state
@@ -142,11 +137,6 @@ class System:
         z = np.asarray(z, dtype=float)
         total = float(sum(rel.cost(z[idx].reshape(shape)) for idx, shape, rel in self._bank))
         return total / self.alpha
-
-    def candidate(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-        """One full (gamma-averaged) synchronous update from d; pass c =
-        m(d) when it is already computed."""
-        return _stepper(self)(d, c)
 
     def primal_mix(self, d: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
         """The decision-variable content (c + d)/2 at the current state;
@@ -173,7 +163,7 @@ class DelayBank:
         if self.mode not in ("synchronous", "asynchronous"):
             raise ValueError(f"unknown delay mode {self.mode!r}")
         if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"sampling probability must lie in (0, 1], got {self.p}")
+            raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         self.reset()
@@ -252,10 +242,16 @@ def oracle_residual(d: np.ndarray, d_star: np.ndarray) -> float:
     return float(np.sum((d - d_star) ** 2))
 
 
+def _check_gamma(gamma: float) -> None:
+    """ValueError unless the averaging parameter gamma lies in (0, 1]."""
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
+
+
 def _check_limits(tol: float, max_iters: int) -> None:
     """ValueError unless tol is positive and finite and max_iters nonnegative."""
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
 
@@ -415,8 +411,6 @@ def run_ensemble(
     _check_limits(tol, max_iters)
     d0 = np.zeros(system.dim) if d0 is None else _vector(system, "d0", d0)
     # 64 iterations' masks in one (64, R, N) buffer, row i from bank i's stream
-    for bank in banks:
-        bank.reset()
     U, M = np.empty((64, system.dim)), np.empty((64, len(banks), system.dim), dtype=bool)
 
     def masks():

@@ -657,7 +657,7 @@ PROBLEM_NAMES = tuple(PROBLEMS)
 
 def _problem(name: str) -> Problem:
     if name not in PROBLEMS:
-        raise ValueError(f"unknown problem {name!r}")
+        raise ValueError(f"unknown problem {name!r}; choose from {', '.join(PROBLEM_NAMES)}")
     return PROBLEMS[name]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from scatopt import monitor, oracles, problems
 from scatopt.cli import ConfigError, RunConfig, main
+from scatopt.engine import DelayBank, run
 from scatopt.interconnect import BlockReflection, check_orthonormal
 
 
@@ -55,6 +57,21 @@ SCHEMA_CASES = [
 ]
 
 
+def _set_gamma(system, gamma):
+    system.gamma = gamma
+
+
+# one bad value per run setting, and the call that checks it in the module that uses it
+OWNED_SETTINGS = [
+    ("p", 0.0, lambda system, p: DelayBank("asynchronous", p=p)),
+    ("gamma", 2.0, _set_gamma),
+    ("seed", -1, lambda system, seed: DelayBank(seed=seed)),
+    *(("tol", tol, lambda system, tol: run(system, tol=tol)) for tol in (math.inf, -1.0, math.nan)),
+    ("max_iters", -1, lambda system, max_iters: run(system, max_iters=max_iters)),
+    ("problem", "nope", lambda system, name: problems.default_instance(name)),
+]
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -77,8 +94,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be nonnegative"):
             RunConfig(seed=-1)
 
+    @pytest.mark.parametrize("key, value, owner", OWNED_SETTINGS,
+                             ids=[f"{key}={value!r}" for key, value, _ in OWNED_SETTINGS])
+    def test_message_is_the_owners(self, lasso_huber_built, key, value, owner):
+        with pytest.raises(ValueError) as owned:
+            owner(lasso_huber_built.system, value)
+        with pytest.raises(ConfigError) as config:
+            RunConfig(**{key: value})
+        assert str(config.value) == str(owned.value)
+
     def test_delay_bank_modes(self):
         assert RunConfig(mode="sync").delay_bank().mode == "synchronous"
+        # a synchronous bank carries the config's p and ignores it
+        assert RunConfig(mode="sync", p=0.25).delay_bank().effective_p == 1.0
         bank = RunConfig(mode="async", p=0.25, seed=5).delay_bank()
         assert bank.mode == "asynchronous"
         assert bank.p == 0.25

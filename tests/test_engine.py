@@ -153,7 +153,7 @@ class TestDelayBank:
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
             DelayBank(mode="lazy")
-        with pytest.raises(ValueError, match="probability"):
+        with pytest.raises(ValueError, match="p must lie in"):
             DelayBank(mode="asynchronous", p=0.0)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             DelayBank(mode="asynchronous", p=0.5, seed=-1)
@@ -299,7 +299,7 @@ class TestRun:
 
     def test_tol_validation(self):
         for tol in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="tolerance"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 run(single_quadratic_system(), tol=tol)
 
     def test_rejects_negative_budget_and_misshapen_vectors(self):
@@ -360,13 +360,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="seed"):
             run_ensemble(system, [])
         for tol in (0.0, -1.0):
-            with pytest.raises(ValueError, match="tolerance"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 run_ensemble(system, [0], tol=tol)
 
     def test_rejects_infinite_tol_negative_budget_and_misshapen_start(self):
         system, *_ = least_squares_system()
         for tol in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="tolerance"):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 run_ensemble(system, [0], tol=tol)
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
             run_ensemble(system, [0, 1], max_iters=-3)
