@@ -31,7 +31,7 @@ class RunConfig:
     problem: str = "lasso_huber"
     mode: str = "sync"
     p: float = 0.1
-    gamma: float = 0.5
+    gamma: float = None  # None: the problem's own, `problems.Problem.gamma`
     seed: int = 0
     tol: float = 1e-8
     max_iters: int = 200000
@@ -39,13 +39,17 @@ class RunConfig:
     instance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        problems.check_params(vars(self), self.__annotations__, "the config", ConfigError)
+        # `_load_config` rejects a null gamma, so None here is only the default
+        settings = {k: v for k, v in vars(self).items() if k != "gamma" or v is not None}
+        problems.check_params(settings, self.__annotations__, "the config", ConfigError)
         if self.mode not in ("sync", "async"):
             raise ConfigError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         # each setting is checked by its user, before anything is built: `verify`
         # clamps tol and max_iters, so `run` would not see every bad value
         try:
-            problems._problem(self.problem)
+            problem = problems._problem(self.problem)
+            if self.gamma is None:
+                self.gamma = problem.gamma
             self.delay_bank()  # p and seed
             _check_gamma(self.gamma)
             _check_limits(self.tol, self.max_iters)
@@ -242,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--problem", choices=problems.PROBLEM_NAMES)
         cmd.add_argument("--mode", choices=("sync", "async"))
         cmd.add_argument("--p", type=float, help="asynchronous sampling probability")
-        cmd.add_argument("--gamma", type=float, help="averaging parameter in (0, 1]")
+        cmd.add_argument("--gamma", type=float,
+                         help="averaging parameter in (0, 1]; default: the problem's own")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--tol", type=float)
         cmd.add_argument("--max-iters", dest="max_iters", type=int)

@@ -219,8 +219,9 @@ class AffineInterconnection:
         return c @ self.G.T
 
     def apply(self, c: np.ndarray) -> np.ndarray:
-        """G c + s, into a fresh array the caller may overwrite."""
-        out = self.linear(c)
+        """G c + s, into a fresh array the caller may overwrite; the loop's step, so it takes
+        a float (N,) or (R, N) array and skips `linear`'s conversion and length check."""
+        out = self._product(c)
         out += self.s
         return out
 

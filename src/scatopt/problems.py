@@ -617,13 +617,15 @@ def _compare_svm(built: BuiltProblem, d: np.ndarray) -> dict:
 
 @dataclass(frozen=True)
 class Problem:
-    """A shipped problem: its default instance, builder, comparison and cost
-    scale alpha (1 for the lassos, which criterion 09 limits, and the nonconvex equalizer)."""
+    """A shipped problem: its default instance, builder, comparison, cost scale alpha (1 for
+    the lassos, which criterion 09 limits, and the nonconvex equalizer) and averaging gamma
+    (the builders' 0.5 for minimax_fir, which larger gammas slow, and for the equalizer)."""
 
     instance: Callable  # a classmethod of the instance type: (seed=..., **parameters) -> instance
     builder: Callable  # (instance, **builder parameters) -> BuiltProblem
     compare: Callable | None = None  # (built, d) -> metrics; None: no reference
     alpha: float = 1.0
+    gamma: float = 0.5
 
     @functools.cached_property
     def schema(self) -> tuple[dict, dict]:
@@ -640,14 +642,14 @@ class Problem:
 
 PROBLEMS = {
     "lasso_huber": Problem(LassoInstance.random, build_lasso_huber,
-                           compare=_compare_lasso_huber),
+                           compare=_compare_lasso_huber, gamma=0.8),
     "lasso_augmented": Problem(LassoInstance.random, build_lasso_augmented,
-                               compare=_compare_lasso_augmented),
+                               compare=_compare_lasso_augmented, gamma=0.8),
     "minimax_fir": Problem(FirSpec.lowpass, build_minimax_fir, _compare_minimax_fir, alpha=0.1),
     "minimax_fir_split": Problem(FirSpec.lowpass, build_minimax_fir_split,
-                                 _compare_minimax_fir_split, alpha=0.03),
+                                 _compare_minimax_fir_split, alpha=0.03, gamma=0.7),
     "svm_consensus": Problem(SvmInstance.separable_blobs, build_svm_decentralized,
-                             compare=_compare_svm, alpha=3.0),
+                             compare=_compare_svm, alpha=3.0, gamma=0.8),
     # nonconvex: no independent solver finds its global optimum
     "sparse_equalizer": Problem(EqualizerInstance.synthetic, build_sparse_equalizer),
 }
@@ -691,9 +693,10 @@ def default_instance(name: str, seed: int = 0, params: dict | None = None):
 
 
 def build(name: str, instance, params: dict | None = None) -> BuiltProblem:
-    """Build a named problem at its alpha, passing on the keys of `params` its builder takes."""
+    """Build a named problem at its alpha and gamma, passing on the `params` its builder takes."""
     problem = _problem(name)
     kwargs = {k: v for k, v in (params or {}).items() if k in problem.schema[1]}
     built = problem.builder(instance, **kwargs)
     built.system = built.system.scaled(problem.alpha)
+    built.system.gamma = problem.gamma
     return built

@@ -356,6 +356,55 @@ class TestRunCommand:
         assert (tmp_path / "file.txt").read_text() == "kept"
 
 
+class TestProblemGamma:
+    """The config's gamma defaults to the problem's row and records the value used."""
+
+    def test_summary_records_the_row_gamma(self, tmp_path):
+        for name in problems.PROBLEM_NAMES:
+            assert RunConfig(problem=name).gamma == problems.PROBLEMS[name].gamma
+        assert main(["run", "--problem", "lasso_huber", "--out", str(tmp_path)]) == 0
+        summary = read_json(tmp_path / "summary.json")
+        assert summary["config"]["gamma"] == problems.PROBLEMS["lasso_huber"].gamma == 0.8
+
+    def test_flag_and_config_override_the_row(self, tmp_path):
+        shipped, flag, config = (tmp_path / k for k in ("shipped", "flag", "config"))
+        assert main(["run", "--problem", "lasso_huber", "--out", str(shipped)]) == 0
+        assert main(["run", "--problem", "lasso_huber", "--gamma", "0.5",
+                     "--out", str(flag)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": "lasso_huber", "gamma": 0.5}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(config)]) == 0
+        runs = {out.name: read_json(out / "summary.json") for out in (shipped, flag, config)}
+        assert runs["flag"]["config"]["gamma"] == runs["config"]["config"]["gamma"] == 0.5
+        assert runs["flag"]["iterations"] == runs["config"]["iterations"]
+        assert runs["flag"]["iterations"] > runs["shipped"]["iterations"]
+
+    @pytest.mark.parametrize("value", [True, "0.8"])
+    def test_typed_gamma_rejected_by_name(self, tmp_path, capsys, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"gamma": value}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: gamma must be a number, got {value!r}\n"
+        with pytest.raises(ConfigError, match="gamma must be a number"):
+            RunConfig(gamma=value)
+
+    @pytest.mark.parametrize("name, command, written", [
+        ("minimax_fir", "run", ("summary.json", "trace.csv")),
+        ("minimax_fir", "verify", ("verify.json",)),
+        ("minimax_fir", "compare", ("compare.json",)),
+        ("sparse_equalizer", "run", ("summary.json", "trace.csv")),
+        ("sparse_equalizer", "verify", ("verify.json",)),
+    ])
+    def test_half_gamma_rows_write_the_same_bytes(self, tmp_path, name, command, written):
+        # the rows that keep gamma = 0.5 write what an explicit --gamma 0.5 writes
+        args = [command, "--problem", name, "--out", str(tmp_path)]
+        runs = []
+        for extra in ([], ["--gamma", "0.5"]):
+            assert main(args + extra) == 0
+            runs.append([(tmp_path / f).read_bytes() for f in written])
+        assert runs[0] == runs[1]
+
+
 class TestVerifyCommand:
     def test_lasso_huber_all_pass(self, tmp_path):
         code = main([

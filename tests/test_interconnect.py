@@ -103,8 +103,25 @@ class TestAffineInterconnection:
             AffineInterconnection(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError, match="offset"):
             AffineInterconnection(np.eye(2), np.zeros(3))
+        # `linear` checks the length for outside callers; the loop's `apply` does not
         with pytest.raises(ValueError, match="length"):
-            AffineInterconnection(np.eye(2), np.zeros(2)).apply(np.zeros(3))
+            AffineInterconnection(np.eye(2), np.zeros(2)).linear(np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "n_blocks, rows, cols, form",
+        [(1, 3, 5, AffineInterconnection), (10, 1, 2, BlockReflection),
+         (1, 100, 500, FactoredReflection)],
+        ids=["dense", "block", "factored"],
+    )
+    def test_apply_is_linear_plus_offset(self, n_blocks, rows, cols, form):
+        # `apply` skips `linear`'s checks but not its bits, on one state and on a stack
+        rng = np.random.default_rng(8)
+        A = block_constraints(n_blocks, rows, cols, seed=9)
+        m, nf = A.shape
+        ic = from_constraints(A, np.arange(nf), np.arange(nf, nf + m), offset=rng.normal(size=m))
+        assert type(ic) is form
+        for c in (rng.normal(size=m + nf), rng.normal(size=(4, m + nf))):
+            assert np.array_equal(ic.apply(c), ic.linear(c) + ic.s)
 
 
 def block_constraints(n_blocks, rows, cols, seed):
@@ -475,7 +492,7 @@ class TestFactoredReflection:
         ic = from_constraints(A, np.arange(500), np.arange(500, 600))
         for c in (np.zeros(599), np.zeros((2, 601))):
             with pytest.raises(ValueError, match=r"vector length \d+ != interconnection dim 600"):
-                ic.apply(c)
+                ic.linear(c)
 
     def test_constructor_validation(self):
         # m = 2 constraints on nf = 3 free coordinates: k = 2, N = 5

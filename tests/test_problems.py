@@ -186,7 +186,8 @@ class TestBuilderInvariants:
         built = problems.build(name, problems.default_instance(name, seed=0, params=params))
         ic = built.system.interconnection
         assert type(ic) is form
-        dense = System(AffineInterconnection(ic.G, ic.s), built.system.elements)
+        dense = System(AffineInterconnection(ic.G, ic.s), built.system.elements,
+                       gamma=built.system.gamma)
         got = run(built.system, DelayBank(), tol=1e-6)
         ref = run(dense, DelayBank(), tol=1e-6)
         assert got.converged and ref.converged
@@ -748,6 +749,33 @@ class TestCostScale:
             inst = problems.default_instance(name, seed=0)
             assert problems.build(name, inst).system.alpha == alphas.get(name, 1.0)
             assert problems.PROBLEMS[name].builder(inst).system.alpha == 1.0
+
+
+class TestOverRelaxation:
+    """The averaging gamma moves iterations, not fixed points: `build` applies
+    the row's gamma, every builder keeps its own 0.5."""
+
+    RETUNED = [n for n in problems.PROBLEM_NAMES if problems.PROBLEMS[n].gamma != 0.5]
+
+    def test_row_and_builder_gammas(self):
+        for name in problems.PROBLEM_NAMES:
+            row = problems.PROBLEMS[name]
+            inst = problems.default_instance(name, seed=0)
+            assert 0.0 < row.gamma < 1.0
+            assert problems.build(name, inst).system.gamma == row.gamma
+            assert row.builder(inst).system.gamma == 0.5
+        # the nonconvex equalizer's fixed point moves with gamma
+        assert "sparse_equalizer" not in self.RETUNED
+
+    @pytest.mark.parametrize("name", RETUNED)
+    def test_fixed_point_does_not_move(self, name):
+        system = problems.build(name, problems.default_instance(name, seed=0)).system
+        got = run(system, DelayBank(), tol=1e-12, max_iters=500000)
+        system.gamma = 0.5
+        ref = run(system, DelayBank(), tol=1e-12, max_iters=500000)
+        assert got.converged and ref.converged
+        gap = np.linalg.norm(got.state.d - ref.state.d)
+        assert gap <= 1e-9 * (1.0 + np.linalg.norm(ref.state.d)), gap
 
 
 class TestRegistry:
