@@ -54,6 +54,10 @@ def _cached_operands(terms):
 _ZERO, _HALF, _ONE = (np.broadcast_to(v, ()) for v in (0.0, 0.5, 1.0))  # read-only 0-d
 
 
+# the epigraph's level divisors 2, 3, ..., n for a block of length n, read-only
+_divisors = lru_cache(maxsize=64)(lambda n: np.broadcast_to(np.arange(2.0, n + 1.0), (n - 1,)))
+
+
 def _total(weight, values) -> float:
     """sum_i weight_i values_i; a scalar weight multiplies the plain sum."""
     if np.ndim(weight) == 0:
@@ -110,7 +114,9 @@ class HuberL1:
         d = np.asarray(d, dtype=float)
         w, inner_scale, knee = self._operands
         mag = np.abs(d)
-        return np.where(mag <= knee, d / inner_scale, np.sign(d) * (mag - w))
+        out = np.copysign(mag - w, d)
+        np.copyto(out, d / inner_scale, where=mag <= knee)
+        return out
 
     def cost(self, x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -133,7 +139,7 @@ class SoftThreshold:
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        return np.sign(d) * np.maximum(np.abs(d) - self._operands[0], _ZERO)
+        return np.copysign(np.maximum(np.abs(d) - self._operands[0], _ZERO), d)
 
     def cost(self, x):
         return _total(self.weight, np.abs(x))
@@ -146,11 +152,11 @@ class LinfEpigraph:
     prox is the Euclidean projection onto the epigraph of the max-abs norm:
     a feasible point stays put, and otherwise t moves to the level
     max(0, max_k (t + S_k) / (k + 2)), where S_k is the sum of the k + 1
-    largest |e_i|, and every |e_i| is clipped to it.  Before the clamp at 0
-    this is the root of the increasing function
-    phi(tau) = tau - t - sum_i (|e_i| - tau)_+, which is <= 0 at every
-    candidate level and is 0 at the one for which the k + 1 largest |e_i|
-    are exactly those above it.
+    largest |e_i|, and every |e_i| is clipped to it; the levels are formed in
+    place over cached read-only divisors k + 2.  Before the clamp at 0 this
+    is the root of the increasing function phi(tau) = tau - t - sum_i
+    (|e_i| - tau)_+, which is <= 0 at every candidate level and is 0 at the
+    one for which the k + 1 largest |e_i| are exactly those above it.
     """
 
     scale_field = None
@@ -162,12 +168,15 @@ class LinfEpigraph:
         e, t = d[..., :-1], d[..., -1:]
         srt = np.abs(e)
         srt.sort(axis=-1)  # ascending; np.add.accumulate is np.cumsum minus its dispatch
-        levels = (np.add.accumulate(srt[..., ::-1], -1) + t) / np.arange(2.0, d.shape[-1] + 1.0)
+        levels = np.add.accumulate(srt[..., ::-1], -1)
+        levels += t
+        levels /= _divisors(d.shape[-1])
+        out = np.empty_like(d)
+        t_new = out[..., -1:]
+        np.maximum(levels.max(-1, keepdims=True), _ZERO, out=t_new)
         # a feasible point keeps its t exactly: with tied magnitudes the
         # rounded cumulative sum can lift a level above t by an ulp
-        t_new = np.where(srt[..., -1:] <= t, t, np.maximum(levels.max(-1, keepdims=True), _ZERO))
-        out = np.empty_like(d)
-        out[..., -1:] = t_new
+        np.copyto(t_new, t, where=srt[..., -1:] <= t)
         np.minimum(np.maximum(e, -t_new, out=out[..., :-1]), t_new, out=out[..., :-1])
         return out
 
@@ -261,9 +270,8 @@ class OneSidedPenalty:
         d = np.asarray(d, dtype=float)
         shift, scale, bound = self._operands
         pulled = (d + shift) / scale
-        if self.side == "upper":
-            return np.where(d <= bound, d, pulled)
-        return np.where(d >= bound, d, pulled)
+        np.copyto(pulled, d, where=d <= bound if self.side == "upper" else d >= bound)
+        return pulled
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)
@@ -279,22 +287,22 @@ class CappedL1:
     """Nonconvex capped 1-norm, f(x) = height * min(|x| / notch_width, 1).
 
     The cost rises with slope lam = height/notch_width near 0 and plateaus
-    at `height` beyond +-notch_width.  prox is the cheaper of two points,
-    the soft threshold st = sign(d) max(|d| - lam, 0) clipped to
-    +-notch_width, and the plateau point, d itself where |d| >= notch_width
-    and sign(d) notch_width otherwise; a tie goes to st, the smaller
-    magnitude.  The notch edge sign(d) notch_width, the third local
-    minimizer, never does better: with w the notch width its prox objective
-    exceeds st's by (w - |d| + lam)^2 / 2, and for |d| >= w the plateau's
-    by (|d| - w)^2 / 2 (for |d| < w it is the plateau point).
+    at `height` beyond +-notch_width.  prox is sign(d) times the cheaper of
+    two magnitudes, worked out on |d|: the soft threshold
+    st = min(max(|d| - lam, 0), w) with w the notch width, whose prox
+    objective is (st - |d|)^2 / 2 + height st / w, and the plateau point
+    max(|d|, w), whose objective is (max(|d|, w) - |d|)^2 / 2 + height; a
+    tie goes to st, the smaller magnitude.  The notch edge, the third local
+    minimizer, never does better: its prox objective exceeds st's by
+    (w - |d| + lam)^2 / 2, and for |d| >= w the plateau's by (|d| - w)^2 / 2
+    (for |d| < w it is the plateau point).  At d = -0.0 the result is -0.0.
     """
 
     height: float
     notch_width: float
     scale_field = "height"
     dissipative = False
-    _operands = _cached_operands(
-        lambda r: (r.height, r.notch_width, -r.notch_width, r.height / r.notch_width))
+    _operands = _cached_operands(lambda r: (r.height, r.notch_width, r.height / r.notch_width))
 
     def __post_init__(self):
         _check(self.height, "height")
@@ -302,17 +310,16 @@ class CappedL1:
 
     def prox(self, d):
         d = np.asarray(d, dtype=float)
-        h, w, neg_w, slope = self._operands
-        mag, sgn = np.abs(d), np.sign(d)
-        both = np.empty((2,) + d.shape)  # st, then the plateau point
-        st = np.multiply(np.maximum(mag - slope, _ZERO), sgn, out=both[0])
-        np.minimum(np.maximum(st, neg_w, out=st), w, out=st)
-        both[1] = np.where(mag >= w, d, sgn * w)
-        # each candidate's prox objective, (x - d)^2 / 2 + f(x), in one pass
-        cost = np.square(both - d)
-        cost *= _HALF
-        cost += np.minimum(np.abs(both) / w, _ONE) * h
-        return np.where(cost[0] <= cost[1], st, both[1])
+        h, w, slope = self._operands
+        mag = np.abs(d)
+        st = mag - slope
+        np.minimum(np.maximum(st, _ZERO, out=st), w, out=st)
+        plateau = np.maximum(mag, w)
+        # each magnitude's prox objective, (x - |d|)^2 / 2 + f(x); st <= w and
+        # max(|d|, w) >= w round st / w to at most 1 and the plateau's to at least 1
+        st_cost = np.square(st - mag) * _HALF + st / w * h
+        np.copyto(plateau, st, where=st_cost <= np.square(plateau - mag) * _HALF + h)
+        return np.copysign(plateau, d, out=plateau)
 
     def cost(self, x):
         x = np.asarray(x, dtype=float)

@@ -150,9 +150,9 @@ class System:
 class DelayBank:
     """Sample-and-hold registers between the elements and interconnection.
 
-    In asynchronous mode each coordinate register adopts its input with
-    probability p per iteration (independent Bernoulli triggers): `triggers`
-    serves `rng.random(N) < p` per call from uniforms drawn 64 calls ahead.
+    In asynchronous mode each coordinate register adopts its input with probability p per
+    iteration, the masks `rng.random(N) < p` call by call; the bank draws them 64 calls ahead and
+    compares each chunk with p once (again after p changes).  A synchronous bank draws nothing.
     """
 
     mode: str = "synchronous"
@@ -173,18 +173,26 @@ class DelayBank:
         return self.p if self.mode == "asynchronous" else 1.0
 
     def reset(self):
-        self._rng = np.random.default_rng(self.seed)
-        self._uniforms, self._used = np.empty(0), 0
+        self._rng = np.random.default_rng(self.seed) if self.mode == "asynchronous" else None
+        self._uniforms, self._used, self._masked_p = np.empty(0), 0, None
+
+    def masks(self, n: int, calls: int) -> np.ndarray:
+        """The masks of the next `calls` calls at dimension n, end to end, 64 calls drawn ahead."""
+        k, u, i = n * calls, self._uniforms, self._used
+        if i + k > len(u):
+            u, i = np.concatenate([u[i:], self._rng.random(64 * n)]), 0
+            self._uniforms, self._masked_p = u, None
+        if self._masked_p != self.p:
+            self._masks, self._masked_p = u < self.p, self.p
+        self._used = i + k
+        if self._used == len(u):  # used up: the next call refills, so hold no uniforms till then
+            self._uniforms, self._used = np.empty(0), 0
+        return self._masks[i : i + k]
 
     def triggers(self, system: System) -> np.ndarray:
-        n, u, i = system.dim, self._uniforms, self._used
         if self.mode == "synchronous":
-            return np.ones(n, dtype=bool)
-        if i + n > len(u):
-            u, i = np.concatenate([u[i:], self._rng.random(64 * n)]), 0
-            self._uniforms = u
-        self._used = i + n
-        return u[i : i + n] < self.p
+            return np.ones(system.dim, dtype=bool)
+        return self.masks(system.dim, 1)
 
 
 @dataclass
@@ -292,19 +300,28 @@ def _stepper(system: System):
     return step
 
 
+def _rows_pass(resid: np.ndarray, D: np.ndarray, tol: float) -> bool:
+    """resid <= tol (1 + ||d||) for every row d of D, the row of the largest residual tested
+    alone first: every row norm is formed only once it passes, the same decision."""
+    j = resid.argmax()
+    alone = resid[j] <= tol * (1.0 + _row_norms(D[j : j + 1])[0])
+    return alone and (resid <= tol * (1.0 + _row_norms(D))).all()
+
+
 def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
     """The one iteration loop: the registers drawn by `draw()` (all of
     them without a draw) adopt step(d), until ||step(d) - d|| <= tol (1 +
     ||d||) holds for the state d (N,) or for every row of a stack (R, N).
 
     Residuals are appended to `resids`; `observe(d)` sees each iterate.
-    `tol=None` makes exactly `max_iters` updates.  Returns (d, updates,
-    converged); raises `DivergedError` once the state is non-finite.
+    A single state adopts in place, so `d` must be the loop's own array
+    and `observe` must copy what it keeps.  `tol=None` makes exactly
+    `max_iters` updates.  Returns (d, updates, converged); raises
+    `DivergedError` once the state is non-finite.
     """
-    if d.ndim == 1:
-        norm, isfinite, every = _norm, math.isfinite, bool
-    else:
-        norm, isfinite, every = _row_norms, np.isfinite, np.ndarray.all
+    single = d.ndim == 1
+    norm, isfinite, every = ((_norm, math.isfinite, bool) if single
+                             else (_row_norms, np.isfinite, np.ndarray.all))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
             cand = step(d)
@@ -314,9 +331,15 @@ def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
                 observe(d)
             if not every(isfinite(resid)) and not np.isfinite(d).all():
                 raise DivergedError(f"non-finite state at iteration {k}")
-            if tol is not None and every(resid <= tol * (1.0 + norm(d))):
+            if tol is not None and (resid <= tol * (1.0 + _norm(d)) if single
+                                    else _rows_pass(resid, d, tol)):
                 return d, k, True
-            d = cand if draw is None else np.where(draw(), cand, d)
+            if draw is None:
+                d = cand
+            elif single:
+                np.copyto(d, cand, where=draw())
+            else:
+                d = np.where(draw(), cand, d)  # faster than copyto on the (R, N) stacks
     return d, max_iters, False
 
 
@@ -376,7 +399,7 @@ def run(
         )
 
     if d_star is None and objective is None and not record_states:
-        observe = None
+        step, observe = update, None
     try:
         d, k, converged = _iterate(step, d, tol, max_iters, resids, draw, observe)
     except DivergedError as exc:
@@ -410,18 +433,14 @@ def run_ensemble(
         raise ValueError("need at least one seed")
     _check_limits(tol, max_iters)
     d0 = np.zeros(system.dim) if d0 is None else _vector(system, "d0", d0)
-    # 64 iterations' masks in one (64, R, N) buffer, row i from bank i's stream
-    U, M = np.empty((64, system.dim)), np.empty((64, len(banks), system.dim), dtype=bool)
 
-    def masks():
+    def stacked():  # 64 iterations' (R, N) masks at a time, row i from bank i's stream
         while True:
-            for bank, m in zip(banks, M.transpose(1, 0, 2)):
-                m[...] = bank._rng.random(out=U) < p
-            yield from M
+            yield from np.stack([b.masks(system.dim, 64).reshape(64, system.dim) for b in banks], 1)
 
     resids = []
     D, _, _ = _iterate(_stepper(system), np.tile(d0, (len(banks), 1)), tol, max_iters, resids,
-                       masks().__next__)
+                       stacked().__next__)
     return np.reshape(resids, (-1, len(banks))).T, D
 
 
@@ -456,6 +475,6 @@ def run_error_system(
         return (1.0 - system.gamma) * e + system.gamma * system.interconnection.linear(c_err)
 
     out = []
-    e, _, _ = _iterate(step, e0, None, iters, [], draw, out.append)
+    e, _, _ = _iterate(step, e0, None, iters, [], draw, lambda e: out.append(e.copy()))
     out.append(e)
     return np.asarray(out)

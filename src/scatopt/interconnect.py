@@ -202,6 +202,7 @@ class AffineInterconnection:
         if not np.all(np.isfinite(G)):
             raise ValueError("G contains non-finite entries")
         object.__setattr__(self, "G", G)
+        object.__setattr__(self, "_GT", G.T)  # kept: each product would make this view anew
         object.__setattr__(self, "s", _checked_offset(s))
 
     @property
@@ -216,7 +217,7 @@ class AffineInterconnection:
         return self._product(c)
 
     def _product(self, c: np.ndarray) -> np.ndarray:
-        return c @ self.G.T
+        return c @ self._GT
 
     def apply(self, c: np.ndarray) -> np.ndarray:
         """G c + s, into a fresh array the caller may overwrite; the loop's step, so it takes

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -356,6 +358,29 @@ class TestRunCommand:
         assert (tmp_path / "file.txt").read_text() == "kept"
 
 
+class TestLazyImports:
+    def test_sync_run_and_compare_leave_numpy_random_unloaded(self, tmp_path):
+        # a synchronous DelayBank draws nothing and creates no generator, and
+        # minimax_fir's instance is not random: numpy.random is never imported
+        code = (
+            "import sys, numpy\n"
+            "if 'numpy.random' in sys.modules:\n"
+            "    print('preloaded')\n"
+            "    raise SystemExit\n"
+            "from scatopt.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['run', '--problem', 'minimax_fir', '--out', out]) == 0\n"
+            "assert main(['compare', '--problem', 'minimax_fir', '--out', out]) == 0\n"
+            "print('numpy.random' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        last = out.stdout.splitlines()[-1]
+        if last == "preloaded":
+            pytest.skip("import numpy loads numpy.random here (numpy < 2)")
+        assert last == "False"
+
+
 class TestProblemGamma:
     """The config's gamma defaults to the problem's row and records the value used."""
 
@@ -536,6 +561,17 @@ class TestCompareCommand:
         assert code == 3
         assert "error: reference oracle failed: stalled" in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()
+
+    def test_overflowing_instance_fails_in_one_line(self, tmp_path, capsys):
+        # the oracle's gradient norm overflows on this finite instance; it
+        # fails by name, with no numpy RuntimeWarning on stderr before it
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"problem": "lasso_huber", "instance": {"noise": 1e300}}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: reference oracle failed: huber-lasso oracle stalled at gradient norm inf\n")
+        assert not (out / "compare.json").exists()
 
     def test_lp_oracle_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(oracles, "_LP_MAX_ITERS", 2)

@@ -710,6 +710,24 @@ def float_bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
+# The proxes worked out on |d| and closed with copysign carry d's sign onto a
+# zero result, so at d = -0.0 they give -0.0 where the references give +0.0.
+MAGNITUDE_FORMS = (SoftThreshold, CappedL1)
+
+
+def assert_same_bits_up_to_zero_sign(rel, d, got, want):
+    """got and want have the same bits; for a magnitude form, at d = -0.0
+    they need only be equal, and the reflection 2 prox(d) - d, which is all
+    the iteration reads, must have the same bits (+0.0 on both sides)."""
+    d = np.broadcast_to(np.asarray(d, dtype=float), np.shape(got))
+    at_neg_zero = float_bits(d) == float_bits(-0.0)
+    if isinstance(rel, MAGNITUDE_FORMS):
+        assert np.array_equal(got[at_neg_zero], want[at_neg_zero])
+        assert np.array_equal(float_bits(2.0 * got - d), float_bits(2.0 * want - d)), (rel, d)
+        got, want = got[~at_neg_zero], want[~at_neg_zero]
+    assert np.array_equal(float_bits(got), float_bits(want)), (rel, d, got, want)
+
+
 def coordinate_breaks(rel):
     """Inputs at which rel's prox changes piece or its candidates tie, one
     value per coordinate (arrays for per-coordinate parameters)."""
@@ -772,7 +790,7 @@ class TestProxBits:
     def assert_same_bits(rel, d):
         got, want = rel.prox(d), plain_prox(rel, d)
         assert got.shape == want.shape == np.shape(d)
-        assert np.array_equal(float_bits(got), float_bits(want)), (rel, d, got, want)
+        assert_same_bits_up_to_zero_sign(rel, d, got, want)
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_coordinatewise(self, name):
@@ -803,3 +821,100 @@ class TestProxBits:
                           *rng.normal(scale=1e3, size=(3, 5, 2)), *rng.normal(size=(3, 5, 2))])
             for x in (d, d[0]):  # (R, k, 2) with per-block parameters, and (k, 2)
                 self.assert_same_bits(rel, x)
+
+
+def parent_prox(rel, d):
+    """The HuberL1, SoftThreshold, LinfEpigraph and CappedL1 proxes as they
+    stood before the copysign, magnitude and in-place forms, operation for
+    operation, with the 0-d parameter arrays the relations cache."""
+    d = np.asarray(d, dtype=float)
+    zero, half, one = (np.asarray(v) for v in (0.0, 0.5, 1.0))
+    if isinstance(rel, HuberL1):
+        w, inner_scale, knee = (np.asarray(v, dtype=float) for v in (
+            rel.weight, 1.0 + rel.weight / rel.halfwidth, rel.halfwidth + rel.weight))
+        mag = np.abs(d)
+        return np.where(mag <= knee, d / inner_scale, np.sign(d) * (mag - w))
+    if isinstance(rel, SoftThreshold):
+        return np.sign(d) * np.maximum(np.abs(d) - np.asarray(rel.weight, dtype=float), zero)
+    if isinstance(rel, LinfEpigraph):
+        e, t = d[..., :-1], d[..., -1:]
+        srt = np.abs(e)
+        srt.sort(axis=-1)
+        levels = (np.add.accumulate(srt[..., ::-1], -1) + t) / np.arange(2.0, d.shape[-1] + 1.0)
+        t_new = np.where(srt[..., -1:] <= t, t, np.maximum(levels.max(-1, keepdims=True), zero))
+        out = np.empty_like(d)
+        out[..., -1:] = t_new
+        np.minimum(np.maximum(e, -t_new, out=out[..., :-1]), t_new, out=out[..., :-1])
+        return out
+    assert isinstance(rel, CappedL1)
+    h, w, neg_w, slope = (np.asarray(v, dtype=float) for v in (
+        rel.height, rel.notch_width, -rel.notch_width, rel.height / rel.notch_width))
+    mag, sgn = np.abs(d), np.sign(d)
+    both = np.empty((2,) + d.shape)
+    st = np.multiply(np.maximum(mag - slope, zero), sgn, out=both[0])
+    np.minimum(np.maximum(st, neg_w, out=st), w, out=st)
+    both[1] = np.where(mag >= w, d, sgn * w)
+    cost = np.square(both - d)
+    cost *= half
+    cost += np.minimum(np.abs(both) / w, one) * h
+    return np.where(cost[0] <= cost[1], st, both[1])
+
+
+class TestAgainstParentForms:
+    """The copysign, magnitude and in-place proxes against `parent_prox` on
+    stacks (L,), (k, L) and (R, k, L): the same bits, at every break too,
+    except that a magnitude form returns -0.0 where the parent form
+    returned +0.0 at d = -0.0; there the values are equal and the
+    reflection 2 prox(d) - d has the same bits
+    (`assert_same_bits_up_to_zero_sign`)."""
+
+    L = 16
+    CASES = {
+        "huber": HuberL1(0.3, 1.0),
+        "huber_per_coordinate": HuberL1(np.linspace(0.0, 2.0, L), np.linspace(0.1, 1.5, L)),
+        "soft_threshold": SoftThreshold(0.7),
+        "soft_threshold_per_coordinate": SoftThreshold(np.linspace(0.0, 2.0, L)),
+        "capped_l1": CappedL1(0.1, 0.05),
+        "capped_l1_tie": CappedL1(1.0, 1.0),
+        "capped_l1_zero_height": CappedL1(0.0, 0.5),
+        "capped_l1_per_coordinate": CappedL1(np.linspace(0.2, 1.2, L), np.linspace(0.5, 1.0, L)),
+    }
+
+    @staticmethod
+    def break_magnitudes(rel):
+        """The |d| at which the prox changes piece or its candidates tie."""
+        if isinstance(rel, HuberL1):
+            return [rel.halfwidth + rel.weight, rel.halfwidth, rel.weight]  # the knee first
+        if isinstance(rel, SoftThreshold):
+            return [rel.weight]
+        lam, w = rel.height / rel.notch_width, rel.notch_width
+        return [lam, w, w + lam / 2]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_coordinatewise(self, name):
+        rel, L = self.CASES[name], self.L
+        rng = np.random.default_rng(sum(map(ord, name)) + 1)
+        mags = np.array([np.broadcast_to(b, (L,)) for b in self.break_magnitudes(rel)], dtype=float)
+        zeros = np.resize([0.0, -0.0], (2, L))
+        tied = rng.uniform(0.5, 2.0) * np.resize([1.0, -1.0], (2, L))
+        rows = [mags, -mags, np.nextafter(mags, np.inf), np.nextafter(mags, 0.0), zeros, -zeros,
+                tied, *(rng.normal(scale=s, size=(6, L)) for s in (1e-3, 1.0, 1e3))]
+        d = np.concatenate(rows)
+        assert len(d) % 2 == 0
+        for x in (d[0], d[len(mags) * 4], d, d.reshape(2, -1, L)):  # (L,) twice, (k, L), (R, k, L)
+            assert_same_bits_up_to_zero_sign(rel, x, rel.prox(x), parent_prox(rel, x))
+
+    def test_negative_zero_keeps_its_sign_in_the_magnitude_forms(self):
+        d = np.array([-0.0, 0.0])
+        for rel in (SoftThreshold(0.7), CappedL1(1.0, 1.0)):
+            assert float_bits(rel.prox(d)).tolist() == float_bits(d).tolist()
+            assert float_bits(parent_prox(rel, d)).tolist() == float_bits(np.zeros(2)).tolist()
+
+    @pytest.mark.parametrize("L", [2, 3, 9, 65, 129])
+    def test_epigraph(self, L):
+        rng = np.random.default_rng(L + 100)
+        d = epigraph_points(L, rng)  # ties, feasible points, signed zeros, random blocks
+        stack = np.stack([d, -d, rng.normal(size=d.shape)])
+        for x in (d[0], d[-1], d, stack):  # (L,) twice, (k, L), (R, k, L)
+            got, want = LinfEpigraph().prox(x), parent_prox(LinfEpigraph(), x)
+            assert np.array_equal(float_bits(got), float_bits(want)), x

@@ -194,6 +194,20 @@ class TestTriggerStream:
         for n in (5, 300, 5):
             assert np.array_equal(bank.triggers(SimpleNamespace(dim=n)), ref.random(n) < 0.8)
 
+    def test_chunks_continue_the_call_stream_and_served_masks_stay(self):
+        # 64 calls' masks at once pick up after single calls, leftovers
+        # first, and masks already served keep their values (uncopied)
+        # through refills and a change of p
+        bank, ref = DelayBank("asynchronous", 0.3, 7), np.random.default_rng(7)
+        served = [bank.triggers(SimpleNamespace(dim=5)) for _ in range(3)]
+        want = [ref.random(5) < 0.3 for _ in range(3)]
+        for p in (0.3, 0.6):
+            bank.p = p
+            chunk = bank.masks(5, 64).reshape(64, 5)
+            assert np.array_equal(chunk, ref.random((64, 5)) < p)
+        for got, expected in zip(served, want):
+            assert np.array_equal(got, expected)
+
     def test_synchronous_masks_are_all_true(self):
         assert DelayBank().triggers(SimpleNamespace(dim=4)).tolist() == [True] * 4
 
@@ -330,6 +344,19 @@ class TestReadout:
 
 
 class TestRunEnsemble:
+    def test_stacked_stop_test_is_the_every_row_rule(self):
+        # the row of the largest residual passes on its large norm while a
+        # row of smaller residual fails on its own: the stack goes on
+        D, resid = np.array([[1e3, 0.0], [0.0, 0.0]]), np.array([1e-6, 5e-7])
+        assert resid[0] <= 1e-8 * (1.0 + np.linalg.norm(D[0]))
+        assert not engine._rows_pass(resid, D, 1e-8)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            D = rng.normal(size=(4, 5)) * rng.lognormal(sigma=3.0, size=(4, 1))
+            resid = rng.lognormal(sigma=3.0, size=4) * 1e-6
+            every = bool(np.all(resid <= 1e-6 * (1.0 + engine._row_norms(D))))
+            assert bool(engine._rows_pass(resid, D, 1e-6)) == every
+
     def test_rows_reproduce_individual_runs(self):
         system, *_ = least_squares_system()
         seeds = [0, 1, 2]
