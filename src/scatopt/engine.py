@@ -151,8 +151,9 @@ class DelayBank:
     """Sample-and-hold registers between the elements and interconnection.
 
     In asynchronous mode each coordinate register adopts its input with probability p per
-    iteration, the masks `rng.random(N) < p` call by call; the bank draws them 64 calls ahead and
-    compares each chunk with p once (again after p changes).  A synchronous bank draws nothing.
+    iteration, the masks `rng.random(N) < p` call by call: `masks(n)` draws the next 64 as one
+    (64, n) array, reading p then, and `triggers` serves them a row at a time.  A bank serves one
+    dimension between resets, and `triggers` or `masks`, not both.  A sync bank draws nothing.
     """
 
     mode: str = "synchronous"
@@ -174,25 +175,19 @@ class DelayBank:
 
     def reset(self):
         self._rng = np.random.default_rng(self.seed) if self.mode == "asynchronous" else None
-        self._uniforms, self._used, self._masked_p = np.empty(0), 0, None
+        self._rows = iter(())
 
-    def masks(self, n: int, calls: int) -> np.ndarray:
-        """The masks of the next `calls` calls at dimension n, end to end, 64 calls drawn ahead."""
-        k, u, i = n * calls, self._uniforms, self._used
-        if i + k > len(u):
-            u, i = np.concatenate([u[i:], self._rng.random(64 * n)]), 0
-            self._uniforms, self._masked_p = u, None
-        if self._masked_p != self.p:
-            self._masks, self._masked_p = u < self.p, self.p
-        self._used = i + k
-        if self._used == len(u):  # used up: the next call refills, so hold no uniforms till then
-            self._uniforms, self._used = np.empty(0), 0
-        return self._masks[i : i + k]
+    def masks(self, n: int) -> np.ndarray:
+        """The masks of the next 64 calls at dimension n, one row per call: a (64, n) array."""
+        return self._rng.random((64, n)) < self.p
 
     def triggers(self, system: System) -> np.ndarray:
         if self.mode == "synchronous":
             return np.ones(system.dim, dtype=bool)
-        return self.masks(system.dim, 1)
+        if (mask := next(self._rows, None)) is None:
+            self._rows = iter(self.masks(system.dim))
+            mask = next(self._rows)
+        return mask
 
 
 @dataclass
@@ -436,7 +431,7 @@ def run_ensemble(
 
     def stacked():  # 64 iterations' (R, N) masks at a time, row i from bank i's stream
         while True:
-            yield from np.stack([b.masks(system.dim, 64).reshape(64, system.dim) for b in banks], 1)
+            yield from np.stack([b.masks(system.dim) for b in banks], 1)
 
     resids = []
     D, _, _ = _iterate(_stepper(system), np.tile(d0, (len(banks), 1)), tol, max_iters, resids,

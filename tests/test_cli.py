@@ -346,6 +346,13 @@ class TestRunCommand:
         assert capsys.readouterr().err == message.format(tmp=tmp_path) + "\n"
         assert not (tmp_path / "summary.json").exists()
 
+    def test_config_array_rejected(self, tmp_path, capsys):
+        config, out = tmp_path / "array.json", tmp_path / "out"
+        config.write_text(json.dumps([{"problem": "lasso_huber"}]))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "verify", "compare"])
     def test_out_file_rejected_before_solve(self, tmp_path, capsys, monkeypatch, command):
         def no_build(cfg):
@@ -534,6 +541,17 @@ class TestCompareCommand:
         assert code == 0
         report = read_json(tmp_path / "compare.json")
         assert report["metrics"]["error_ratio"] <= 1.01
+
+    def test_lasso_huber_matches_oracle(self, tmp_path):
+        assert main(["compare", "--problem", "lasso_huber", "--out", str(tmp_path)]) == 0
+        metrics = read_json(tmp_path / "compare.json")["metrics"]
+        assert metrics["max_coefficient_error"] < 1e-6
+        assert abs(metrics["objective_gap"]) < 1e-6
+
+    def test_minimax_fir_split_ratio(self, tmp_path):
+        assert main(["compare", "--problem", "minimax_fir_split", "--out", str(tmp_path)]) == 0
+        metrics = read_json(tmp_path / "compare.json")["metrics"]
+        assert 1.0 <= metrics["error_ratio"] <= 1.02
 
     def test_svm_full_agreement(self, tmp_path):
         code = main([

@@ -174,39 +174,23 @@ class TestDelayBank:
 
 
 class TestTriggerStream:
-    """`DelayBank.triggers` serves uniforms drawn 64 calls ahead and
+    """`DelayBank.triggers` serves masks drawn 64 calls ahead and
     `run_ensemble` draws 64 iterations of masks at once; both must still
     give `default_rng(seed).random(N) < p` one call at a time."""
 
     def test_masks_match_the_stream_call_by_call(self):
-        bank = DelayBank("asynchronous", 0.3, 11)
-        rng, drawn = bank._rng, []
-        bank._rng = SimpleNamespace(random=lambda n: drawn.append(n) or rng.random(n))
-        ref = np.random.default_rng(11)
-        for k in range(400):
-            n = (7, 300, 1, 64)[k % 4]  # alternating dims, leftovers at every refill
-            if k == 250:
-                bank.p = 0.8  # a live p: the stream stays, the threshold moves
-            assert np.array_equal(bank.triggers(SimpleNamespace(dim=n)), ref.random(n) < bank.p)
-        assert len(drawn) >= 3
-        bank.reset()
-        ref = np.random.default_rng(11)
-        for n in (5, 300, 5):
-            assert np.array_equal(bank.triggers(SimpleNamespace(dim=n)), ref.random(n) < 0.8)
-
-    def test_chunks_continue_the_call_stream_and_served_masks_stay(self):
-        # 64 calls' masks at once pick up after single calls, leftovers
-        # first, and masks already served keep their values (uncopied)
-        # through refills and a change of p
-        bank, ref = DelayBank("asynchronous", 0.3, 7), np.random.default_rng(7)
-        served = [bank.triggers(SimpleNamespace(dim=5)) for _ in range(3)]
-        want = [ref.random(5) < 0.3 for _ in range(3)]
-        for p in (0.3, 0.6):
-            bank.p = p
-            chunk = bank.masks(5, 64).reshape(64, 5)
-            assert np.array_equal(chunk, ref.random((64, 5)) < p)
-        for got, expected in zip(served, want):
-            assert np.array_equal(got, expected)
+        # three chunks; served masks keep their values (uncopied) through
+        # refills, and reset restarts the stream, mid-chunk too
+        bank, n = DelayBank("asynchronous", 0.3, 11), 7
+        chunk = bank.masks(n)
+        assert chunk.shape == (64, n) and chunk.dtype == bool
+        for calls in (100, 192):
+            bank.reset()
+            ref = np.random.default_rng(11)
+            served = [bank.triggers(SimpleNamespace(dim=n)) for _ in range(calls)]
+            want = [ref.random(n) < 0.3 for _ in range(calls)]
+            for got, expected in zip(served, want):
+                assert np.array_equal(got, expected)
 
     def test_synchronous_masks_are_all_true(self):
         assert DelayBank().triggers(SimpleNamespace(dim=4)).tolist() == [True] * 4

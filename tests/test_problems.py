@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +494,18 @@ class TestRegularGraph:
         assert not _connected(two)
         assert not _connected(two[order][:, order])
 
+    @pytest.mark.parametrize("degree", [2, 4, 6, 8])
+    def test_matches_the_double_loop(self, degree):
+        for n in range(degree + 1, 41):
+            ref = np.zeros((n, n), dtype=int)
+            for off in range(1, degree // 2 + 1):
+                for i in range(n):
+                    j = (i + off) % n
+                    ref[i, j] = ref[j, i] = 1
+            adj = make_regular_graph(n, degree)
+            assert np.array_equal(adj, ref)
+            assert np.all(adj.sum(axis=1) == degree)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError, match="degree"):
             make_regular_graph(10, 3)
@@ -633,6 +646,15 @@ class TestSvmConsensus:
         with pytest.raises(ValueError, match="symmetric"):
             SvmInstance(features=np.zeros((4, 2)), labels=np.array([1.0, -1.0, 1.0, -1.0]),
                         adjacency=np.eye(4, k=k, dtype=int))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1.0, -1.0, 1.0], "one label per agent required"),
+        ([1.0, -1.0, 0.0, 1.0], r"labels must be -1 or \+1"),
+    ], ids=["one_short", "zero_label"])
+    def test_labels_checked(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            SvmInstance(features=np.zeros((4, 2)), labels=np.array(labels),
+                        adjacency=make_regular_graph(4, 2))
 
     def test_disconnected_graph_rejected(self):
         adj = np.zeros((4, 4), dtype=int)
@@ -795,3 +817,13 @@ class TestRegistry:
         spec = problems.default_instance("minimax_fir_split")
         built = problems.build("minimax_fir_split", spec, params={"coupling_weight": 7.0})
         assert built.extras["coupling_weight"] == 7.0
+
+
+def test_readme_quick_example(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["result"].converged
+    assert namespace["coefficients"].shape == (20,)
+    assert capsys.readouterr().out.startswith("True ")
