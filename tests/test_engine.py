@@ -192,6 +192,23 @@ class TestTriggerStream:
             for got, expected in zip(served, want):
                 assert np.array_equal(got, expected)
 
+    def test_chunks_continue_the_call_stream_and_served_masks_stay(self):
+        # successive chunks continue the call stream, each reading p when it
+        # is drawn, and masks already served keep their values (uncopied)
+        # through refills and a change of p
+        bank, ref = DelayBank("asynchronous", 0.3, 7), np.random.default_rng(7)
+        for p in (0.3, 0.6):
+            bank.p = p
+            assert np.array_equal(bank.masks(5), ref.random((64, 5)) < p)
+        bank.p = 0.3
+        bank.reset()
+        served = [bank.triggers(SimpleNamespace(dim=5)) for _ in range(70)]
+        bank.p = 0.6  # the chunk drawn at call 65 keeps 0.3; the next reads 0.6
+        served += [bank.triggers(SimpleNamespace(dim=5)) for _ in range(130)]
+        ref = np.random.default_rng(7)
+        for k, got in enumerate(served):
+            assert np.array_equal(got, ref.random(5) < (0.3 if k < 128 else 0.6))
+
     def test_synchronous_masks_are_all_true(self):
         assert DelayBank().triggers(SimpleNamespace(dim=4)).tolist() == [True] * 4
 
