@@ -119,8 +119,13 @@ def _write_trace(path: Path, trace) -> None:
             ])
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _report(cfg: RunConfig, name: str, payload: dict) -> Path:
+    """Write `config` plus `payload`, keys sorted, to `name` in `cfg.out` (made if missing)."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    report = {"config": asdict(cfg), **payload}
+    (out / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return out
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -132,19 +137,15 @@ def cmd_run(cfg: RunConfig) -> int:
         max_iters=cfg.max_iters,
         objective=built.objective,
     )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trace(out / "trace.csv", result.trace)
-    summary = {
-        "config": asdict(cfg),
+    out = _report(cfg, "summary.json", {
         "converged": result.converged,
         "iterations": int(result.state.iter),
         "normalized_iterations": float(result.state.normalized_iter),
         "final_residual": float(result.trace.self_residual[-1]) if len(result.trace) else None,
         "readout": {"a": result.a.tolist(), "b": result.b.tolist()},
         "seed": cfg.seed,
-    }
-    _write_json(out / "summary.json", summary)
+    })
+    _write_trace(out / "trace.csv", result.trace)
     return 0 if result.converged else 2
 
 
@@ -166,38 +167,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     ic = system.interconnection
     stacks = ic.blocks if isinstance(ic, BlockReflection) else (ic.G,)
     ortho = max((check_orthonormal(B) for B in stacks), key=lambda rep: rep.max_deviation)
-    element_reports = []
-    all_dissipative = all(el.dissipative for el in system.elements)
-    required_ok = True
+    elements = []
     for el in system.elements:
         rep = dissipativity_probe(el, d_star[el.block.slice], n=200, radius=1.0, seed=cfg.seed)
-        informational = not el.dissipative
-        if not informational:
-            required_ok &= rep.passed
-        element_reports.append({
-            "kind": el.kind,
+        elements.append({
+            "kind": type(el.relation).__name__,
             "block": [el.block.offset, el.block.length],
             "max_ratio": rep.max_ratio,
             "passed": rep.passed,
-            "informational": informational,
+            "informational": not el.relation.dissipative,
         })
     # the norm-reduction certificate presumes dissipative elements; report
     # it as informational when the system declares non-dissipative blocks
-    eq2_required = all_dissipative
-    passed = bool(
-        ortho.passed and eq1.passed and required_ok and (eq2.passed or not eq2_required)
-    )
-    report = {
-        "config": asdict(cfg),
+    eq2_required = not any(row["informational"] for row in elements)
+    passed = bool(ortho.passed and eq1.passed and (eq2.passed or not eq2_required)
+                  and all(row["passed"] for row in elements if not row["informational"]))
+    _report(cfg, "verify.json", {
         "orthonormality": asdict(ortho),
-        "elements": element_reports,
+        "elements": elements,
         "interconnection_neutrality": asdict(eq1),
         "norm_reduction": {**asdict(eq2), "informational": not eq2_required},
         "passed": passed,
-    }
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", report)
+    })
     return 0 if passed else 2
 
 
@@ -217,15 +208,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     except OracleFailure as exc:
         print(f"error: reference oracle failed: {exc}", file=sys.stderr)
         return 3
-    report = {
-        "config": asdict(cfg),
+    _report(cfg, "compare.json", {
         "converged": result.converged,
         "iterations": int(result.state.iter),
         "metrics": metrics,
-    }
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "compare.json", report)
+    })
     return 0 if result.converged else 2
 
 

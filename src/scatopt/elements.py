@@ -339,14 +339,6 @@ class Element:
         if isinstance(self.relation, LinfEpigraph) and self.block.length < 2:
             raise ValueError("LinfEpigraph requires a block of length >= 2")
 
-    @property
-    def kind(self) -> str:
-        return type(self.relation).__name__
-
-    @property
-    def dissipative(self) -> bool:
-        return self.relation.dissipative
-
     def reflect(self, d_block):
         """The map the iteration runs, c = 2 prox(d) - d."""
         d_block = np.asarray(d_block, dtype=float)

@@ -179,6 +179,8 @@ class DelayBank:
 
     def masks(self, n: int) -> np.ndarray:
         """The masks of the next 64 calls at dimension n, one row per call: a (64, n) array."""
+        if self._rng is None:
+            raise ValueError("a synchronous delay bank draws no masks; use mode='asynchronous'")
         return self._rng.random((64, n)) < self.p
 
     def triggers(self, system: System) -> np.ndarray:

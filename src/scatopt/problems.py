@@ -576,24 +576,16 @@ def _compare_lasso_augmented(built: BuiltProblem, d: np.ndarray) -> dict:
     }
 
 
-def _fir_metrics(built: BuiltProblem, h: np.ndarray) -> dict:
+def _compare_minimax(built: BuiltProblem, d: np.ndarray) -> dict:
     from . import oracles
 
     ref = oracles.oracle_minimax_lp(built.instance)
-    ex = built.extras
+    z, ex = built.primal(d), built.extras
+    # the mean of the layout's coefficient copies: one unsplit, pass and stop split
+    h = np.mean([z[s] for k, s in built.layout.items() if k.startswith("coefficients")], axis=0)
     C = _cosine_matrix(ex["omega"], built.instance.half_taps)
     err = float(np.abs(ex["weights"] * (C @ h - ex["desired"])).max())
     return {"max_grid_error": err, "oracle_optimum": ref.value, "error_ratio": err / ref.value}
-
-
-def _compare_minimax_fir(built: BuiltProblem, d: np.ndarray) -> dict:
-    return _fir_metrics(built, built.primal(d)[built.layout["coefficients"]])
-
-
-def _compare_minimax_fir_split(built: BuiltProblem, d: np.ndarray) -> dict:
-    z = built.primal(d)
-    h = (z[built.layout["coefficients_pass"]] + z[built.layout["coefficients_stop"]]) / 2.0
-    return _fir_metrics(built, h)
 
 
 def _compare_svm(built: BuiltProblem, d: np.ndarray) -> dict:
@@ -641,9 +633,9 @@ PROBLEMS = {
                            compare=_compare_lasso_huber, gamma=0.8),
     "lasso_augmented": Problem(LassoInstance.random, build_lasso_augmented,
                                compare=_compare_lasso_augmented, gamma=0.8),
-    "minimax_fir": Problem(FirSpec.lowpass, build_minimax_fir, _compare_minimax_fir, alpha=0.1),
+    "minimax_fir": Problem(FirSpec.lowpass, build_minimax_fir, _compare_minimax, alpha=0.1),
     "minimax_fir_split": Problem(FirSpec.lowpass, build_minimax_fir_split,
-                                 _compare_minimax_fir_split, alpha=0.03, gamma=0.7),
+                                 _compare_minimax, alpha=0.03, gamma=0.7),
     "svm_consensus": Problem(SvmInstance.separable_blobs, build_svm_decentralized,
                              compare=_compare_svm, alpha=3.0, gamma=0.8),
     # nonconvex: no independent solver finds its global optimum

@@ -199,27 +199,27 @@ def test_criterion_08_decentralized_svm(announce, svm_built):
     assert ok, f"structure={structure_ok} agreement={agreement}"
 
 
+def criterion_09_ratio(system):
+    """Whether 20 seeded replicas at p = 0.1 all reach tol 1e-6, and the largest ratio of
+    their mean residual to the synchronous one at the same normalized iteration."""
+    p = 0.1
+    res, final = run_ensemble(system, range(20), p=p, tol=1e-6, max_iters=500000)
+    # the ratio reads sync entries up to index floor((K - 1) p) for K
+    # lockstep iterations; a budget of floor(K p) + 2 reaches every one
+    sync_res = run(system, DelayBank(), tol=1e-300,
+                   max_iters=int(res.shape[1] * p) + 2).trace.self_residual
+    all_reached = bool(np.all(res[:, -1] <= 1e-6 * (1.0 + np.linalg.norm(final, axis=1))))
+    avg = res.mean(axis=0)
+    sync_idx = np.minimum((np.arange(len(avg)) * p).astype(int), len(sync_res) - 1)
+    mask = (avg > 1e-6) & (sync_res[sync_idx] > 1e-12)
+    return all_reached, float((avg[mask] / sync_res[sync_idx][mask]).max())
+
+
 def test_criterion_09_asynchronous_mode(announce, lasso_huber_built,
                                         lasso_augmented_built, svm_built):
-    p = 0.1
-    seeds = range(20)
-    ok = True
-    details = {}
-    for built in (lasso_huber_built, lasso_augmented_built, svm_built):
-        res, final = run_ensemble(built.system, seeds, p=p, tol=1e-6, max_iters=500000)
-        # the ratio reads sync entries up to index floor((K - 1) p) for K
-        # lockstep iterations; a budget of floor(K p) + 2 reaches every one
-        sync = run(built.system, DelayBank(), tol=1e-300, max_iters=int(res.shape[1] * p) + 2)
-        sync_res = sync.trace.self_residual
-        norms = np.linalg.norm(final, axis=1)
-        all_reached = bool(np.all(res[:, -1] <= 1e-6 * (1.0 + norms)))
-        avg = res.mean(axis=0)
-        ks = np.arange(len(avg))
-        sync_idx = np.minimum((ks * p).astype(int), len(sync_res) - 1)
-        mask = (avg > 1e-6) & (sync_res[sync_idx] > 1e-12)
-        ratio = float((avg[mask] / sync_res[sync_idx][mask]).max())
-        details[built.name] = (all_reached, ratio)
-        ok &= all_reached and ratio <= 3.0
+    details = {built.name: criterion_09_ratio(built.system)
+               for built in (lasso_huber_built, lasso_augmented_built, svm_built)}
+    ok = all(all_reached and ratio <= 3.0 for all_reached, ratio in details.values())
     announce(9, "asynchronous runs track the synchronous residual curve", ok)
     assert ok, str(details)
 
@@ -228,19 +228,12 @@ def test_shipped_svm_scale_keeps_criterion_09_ratio():
     # criterion 09's measure on its three problems as `problems.build` ships
     # them (the svm at alpha = 3, all three at gamma = 0.8); criterion 09
     # itself runs the builders' alpha = 1, gamma = 0.5
-    p = 0.1
     ratios = {}
     for name, alpha in (("lasso_huber", 1.0), ("lasso_augmented", 1.0), ("svm_consensus", 3.0)):
         system = problems.build(name, problems.default_instance(name)).system
         assert (system.alpha, system.gamma) == (alpha, 0.8)
-        res, final = run_ensemble(system, range(20), p=p, tol=1e-6, max_iters=500000)
-        sync_res = run(system, DelayBank(), tol=1e-300,
-                       max_iters=int(res.shape[1] * p) + 2).trace.self_residual
-        assert np.all(res[:, -1] <= 1e-6 * (1.0 + np.linalg.norm(final, axis=1))), name
-        avg = res.mean(axis=0)
-        sync_idx = np.minimum((np.arange(len(avg)) * p).astype(int), len(sync_res) - 1)
-        mask = (avg > 1e-6) & (sync_res[sync_idx] > 1e-12)
-        ratios[name] = float((avg[mask] / sync_res[sync_idx][mask]).max())
+        all_reached, ratios[name] = criterion_09_ratio(system)
+        assert all_reached, name
     assert max(ratios.values()) <= 3.0, ratios
 
 

@@ -597,3 +597,15 @@ class TestCompareCommand:
         assert code == 3
         assert "error: reference oracle failed: minimax LP" in capsys.readouterr().err
         assert not (tmp_path / "compare.json").exists()
+
+    def test_lp_normal_equation_failure_exit_code(self, tmp_path, capsys):
+        # four grid points against eight coefficients leave the LP's normal equations singular
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps(
+            {"problem": "minimax_fir", "instance": {"num_taps": 15, "grid_size": 2}}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "error: reference oracle failed: minimax LP normal equations failed:")
+        assert not out.exists()

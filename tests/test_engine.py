@@ -212,6 +212,10 @@ class TestTriggerStream:
     def test_synchronous_masks_are_all_true(self):
         assert DelayBank().triggers(SimpleNamespace(dim=4)).tolist() == [True] * 4
 
+    def test_synchronous_bank_draws_no_masks(self):
+        with pytest.raises(ValueError, match="synchronous delay bank draws no masks"):
+            DelayBank().masks(3)
+
     def test_ensemble_masks_match_one_call_at_a_time(self, monkeypatch):
         system, *_ = least_squares_system()
         seeds, p, masks = [3, 5, 8], 0.25, []

@@ -253,6 +253,16 @@ class TestAbsorbSources:
         with pytest.raises(ValueError, match="overlap"):
             absorb_sources(ic, srcs)
 
+    def test_malformed_sources_rejected(self):
+        with pytest.raises(ValueError, match=r"F shape \(2, 2\) does not match block length 3"):
+            SourceRelation(Block(0, 3), F=np.zeros((2, 2)), g=np.zeros(3))
+        with pytest.raises(ValueError, match=r"g shape \(2,\) does not match block length 3"):
+            SourceRelation(Block(0, 3), F=np.zeros((3, 3)), g=np.zeros(2))
+        ic = AffineInterconnection(np.eye(3), np.zeros(3))
+        src = SourceRelation(Block(2, 2), F=np.zeros((2, 2)), g=np.zeros(2))
+        with pytest.raises(ValueError, match="source block exceeds interconnection dimension"):
+            absorb_sources(ic, [src])
+
 
 def paper_construction(A, free, resid, offset=None):
     """The paper's interconnection for z[resid] = A z[free] - offset: the
@@ -675,6 +685,8 @@ class TestBlockReflection:
         assert all(a is b for a, b in zip(moved.index + moved.blocks, ic.index + ic.blocks))
         c = np.random.default_rng(75).normal(size=(2, ic.dim))
         np.testing.assert_array_equal(moved.apply(c), ic.linear(c) + s)
+        with pytest.raises(ValueError, match=r"offset must be a vector, got shape \(2, "):
+            replace(ic, s=np.zeros((2, ic.dim)))
 
     def test_constructor_validation(self):
         index, blocks = (np.array([[0, 2], [1, 3]]),), (np.stack([np.eye(2)] * 2),)
