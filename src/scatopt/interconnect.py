@@ -1,27 +1,11 @@
 """Orthonormal linear interconnections with affine offsets.
 
 The interconnection maps the elements' c-outputs to their d-inputs,
-d = G c + s, where G is norm-preserving.  For a problem's linear
-constraints z[resid] = A z[free] - v, the map c -> G c + s is the
-reflection across that affine set,
-    G = sign (I - 2 L K^-1 L^T),   s = z0 - G z0,   z0 = (0, -v),
-with K = L^T L the smaller Gram matrix: (L, sign) = (C^T, +1) and
-K = I + A A^T, C = [A | -I], for no more constraints than free
-coordinates; else (L, sign) = (B, -1) and K = I + A^T A, B = [I; A].
-`from_constraints` builds every form from A, the index sets and one
-K^-1 by the same helpers, and never forms L.  The reflection is kept in
-one of three forms, chosen by the sizes of the constraint graph's
-connected components and by N:
-- a `BlockReflection` when the components' blocks hold at most
-  `BLOCK_SHARE` of G's entries (the decentralized SVM, one block per
-  agent): each stack of equal-shaped blocks is built at once, and a
-  product is one batched matmul per block size;
-- else a stored dense G up to `DENSE_MAX_DIM` coordinates (every other
-  shipped default problem);
-- else a `FactoredReflection` holding A, the index sets and K^-1, k x k
-  for k = min(m, nf): O(m nf + k^2) memory and time per apply, one
-  product each with A, K^-1 and A^T, where a dense G takes O(N^2).
-The block and factored forms form the dense G only when it is read.
+d = G c + s, where G is norm-preserving.  `from_constraints` builds it as
+the reflection across a problem's affine constraint set, stored as a dense
+`AffineInterconnection`, a `BlockReflection` or a `FactoredReflection`;
+its docstring states the formula and the choice of form.
+`check_orthonormal` measures how far a G is from orthonormal.
 
 `cayley` and `absorb_sources` (with `SourceRelation`) are the paper's
 construction of the same map: a Cayley transform of a skew core, with
@@ -112,7 +96,10 @@ def _sign(A: np.ndarray) -> float:
 
 
 class GramOverflowError(ValueError):
-    """The constraint data are finite but too large: I + A A^T overflows."""
+    """The constraint data are finite but too large: the Gram matrix K = I + A A^T
+    overflows, or is singular to working precision.  K is never singular in exact
+    arithmetic; rounding makes it so when A is rank-deficient and so large that
+    the identity is lost."""
 
 
 def _gram_inverse(A: np.ndarray) -> np.ndarray:
@@ -123,12 +110,16 @@ def _gram_inverse(A: np.ndarray) -> np.ndarray:
     K = np.eye(m) + A @ At if m <= nf else np.eye(nf) + At @ A
     if not np.all(np.isfinite(K)):
         raise GramOverflowError("constraint matrix A is too large: its Gram matrix overflows")
-    return np.linalg.inv(K)
+    try:
+        return np.linalg.inv(K)
+    except np.linalg.LinAlgError as exc:
+        raise GramOverflowError("constraint matrix A is too large: its Gram matrix is "
+                                "singular to working precision") from exc
 
 
-# The helpers below apply L, given by A and the index sets as in the module
-# docstring.  With a stack of A (nb, m, nf), vectors carry a row axis: c is
-# (nb, R, N).
+# The helpers below apply L, given by A and the index sets as in
+# `from_constraints`.  With a stack of A (nb, m, nf), vectors carry a row
+# axis: c is (nb, R, N).
 
 
 def _gram_side(A, free, resid, c: np.ndarray) -> np.ndarray:
@@ -284,7 +275,8 @@ class FactoredReflection(_FormedOnRead):
     """The map c -> G c + s with G = sign (I - 2 L K^-1 L^T) the reflection
     across {z : z[resid] = A z[free] - v}, kept as A, the index sets and
     `gram_inv` = K^-1 (k x k, k = min(m, nf)), with L, K and sign = +1 for
-    m <= nf, else -1, as in the module docstring.  `from_constraints`, its
+    m <= nf, else -1, as in `from_constraints`: O(m nf + k^2) memory and
+    time per product, where a dense G takes O(N^2).  `from_constraints`, its
     only constructor, passes read-only copies of a finite A and of index
     sets partitioning 0..N-1, which `dataclasses.replace` shares; this
     checks only that s and K^-1 are finite.

@@ -279,6 +279,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("argv, message", [
         (["--tol", "inf"], "error: tol must be positive and finite, got inf"),
+        (["--p", "0"], "error: p must lie in (0, 1], got 0.0"),
         (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
         (["--problem", "minimax_fir", "--mode", "async", "--seed", "-1"],
          "error: seed must be nonnegative, got -1"),
@@ -317,7 +318,7 @@ class TestRunCommand:
         (["--config", "{tmp}/huge_svm.json"],
          "error: invalid instance parameters: Unable to allocate 6.94 EiB for an array with "
          "shape (1000000000, 1000000000) and data type int64"),
-    ], ids=["infinite_tol", "negative_seed", "negative_trigger_seed", "out_is_file",
+    ], ids=["infinite_tol", "zero_p", "negative_seed", "negative_trigger_seed", "out_is_file",
             "out_below_file", "config_is_directory", "config_not_utf8",
             "noninteger_target_delay", "zero_equalizer_taps", "negative_lasso_rows",
             "zero_lasso_columns", "zero_lasso_rows", "lasso_sparsity_above_n",

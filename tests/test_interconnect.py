@@ -12,6 +12,7 @@ from scatopt.interconnect import (
     AffineInterconnection,
     BlockReflection,
     FactoredReflection,
+    GramOverflowError,
     SourceRelation,
     absorb_sources,
     cayley,
@@ -384,21 +385,26 @@ class TestFromConstraints:
         with pytest.raises(ValueError, match="offset shape"):
             from_constraints(A, np.array([0, 1]), np.array([2, 3]), offset=np.zeros(3))
 
-    @pytest.mark.parametrize("A, form", [
-        (np.random.default_rng(26).normal(size=(20, 30)), AffineInterconnection),
-        (np.random.default_rng(27).normal(size=(40, 10)), AffineInterconnection),
-        (np.random.default_rng(28).normal(size=(300, 400)), FactoredReflection),
-        (np.kron(np.eye(40), np.ones((1, 2))), BlockReflection),
-    ], ids=["dense", "dense_tall", "factored", "block"])
-    def test_overflowing_gram_rejected(self, A, form):
-        # finite data whose I + A A^T (or I + A^T A) overflows is an error
-        # naming A on every path, not an identity map; tier-1 turns any
-        # RuntimeWarning that escapes into a failure too
+    @pytest.mark.parametrize("A, form, scale", [
+        (np.random.default_rng(26).normal(size=(20, 30)), AffineInterconnection, 1e200),
+        (np.random.default_rng(27).normal(size=(40, 10)), AffineInterconnection, 1e200),
+        (np.random.default_rng(28).normal(size=(300, 400)), FactoredReflection, 1e200),
+        (np.kron(np.eye(40), np.ones((1, 2))), BlockReflection, 1e200),
+        # rank-deficient: rounding drops the identity from I + A A^T at this
+        # scale, which leaves it singular, never so in exact arithmetic
+        (np.ones((2, 3)), AffineInterconnection, 1e8),
+        (np.kron(np.eye(10), np.ones((2, 3))), BlockReflection, 1e8),
+    ], ids=["dense", "dense_tall", "factored", "block", "singular", "singular_block"])
+    def test_overflowing_gram_rejected(self, A, form, scale):
+        # finite data whose I + A A^T (or I + A^T A) overflows or is singular
+        # to working precision is an error naming A on every path, not an
+        # identity map or numpy's LinAlgError; tier-1 turns any RuntimeWarning
+        # that escapes into a failure too
         m, nf = A.shape
         args = np.arange(nf), np.arange(nf, nf + m), np.ones(m)
         assert type(from_constraints(A, *args)) is form
-        with pytest.raises(ValueError, match="constraint matrix A is too large: its Gram"):
-            from_constraints(A * 1e200, *args)
+        with pytest.raises(GramOverflowError, match="constraint matrix A is too large: its Gram"):
+            from_constraints(A * scale, *args)
 
     def test_only_from_constraints_builds_the_implicit_forms(self):
         # the block and factored forms check only their offset and stored

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scatopt import oracles, problems
 from scatopt.elements import (
@@ -35,6 +36,7 @@ from scatopt.problems import (
     make_regular_graph,
 )
 
+from test_elements import PROPERTY, weights
 from test_oracles import assert_matches_lbfgsb
 
 # a lasso of N = 600 coordinates, above interconnect.DENSE_MAX_DIM
@@ -113,15 +115,56 @@ def constraint_point(built, rng):
     return z
 
 
+def _lasso_params(m, n, sparsity):
+    return {"m": m, "n": n, "sparsity": min(sparsity, n)}
+
+
+def _fir_params(half_taps, grid_size, passband_weight, stopband_weight):
+    return {"num_taps": 2 * half_taps - 1, "grid_size": grid_size,
+            "passband_weight": passband_weight, "stopband_weight": stopband_weight}
+
+
+def _svm_params(n_agents, half_degree):
+    return {"n_agents": n_agents + 2 * half_degree, "degree": 2 * half_degree}
+
+
+_lasso = st.builds(_lasso_params, st.integers(1, 40), st.integers(1, 60), st.integers(0, 5))
+_fir = st.builds(_fir_params, st.integers(1, 16), st.integers(2, 200), weights, weights)
+# the instance parameters drawn for each builder, beside a drawn seed
+INSTANCE_PARAMS = {
+    "lasso_huber": _lasso,
+    "lasso_augmented": _lasso,
+    "minimax_fir": _fir,
+    "minimax_fir_split": st.builds(dict, _fir, coupling_weight=st.floats(0.0, 1000.0)),
+    "svm_consensus": st.builds(_svm_params, st.integers(1, 40), st.integers(1, 3)),
+    "sparse_equalizer": st.fixed_dictionaries({"length": st.integers(1, 40),
+                                               "num_taps": st.integers(1, 24)}),
+}
+# draws that land in the factored form (N > DENSE_MAX_DIM) and the block form
+FORM_EXAMPLES = {"lasso_augmented": LARGE_LASSO, "svm_consensus": {"n_agents": 40}}
+
+
 class TestBuilderInvariants:
     @pytest.mark.parametrize("name", problems.PROBLEM_NAMES)
     def test_reflection_involution_fixes_constraint_set(self, name):
-        built = problems.build(name, problems.default_instance(name, seed=0))
-        ic = built.system.interconnection
-        np.testing.assert_allclose(ic.G, ic.G.T, atol=1e-10)
-        np.testing.assert_allclose(ic.G @ ic.G, np.eye(ic.dim), atol=1e-10)
-        z = constraint_point(built, np.random.default_rng(3))
-        np.testing.assert_allclose(ic.apply(z), z, rtol=0, atol=1e-10)
+        @settings(PROPERTY, max_examples=25)
+        @given(st.integers(0, 2**32 - 1), INSTANCE_PARAMS[name])
+        def check(seed, params):
+            built = problems.build(name, problems.default_instance(name, seed, params), params)
+            ic = built.system.interconnection
+            G = ic.G
+            np.testing.assert_allclose(G, G.T, atol=1e-10)
+            np.testing.assert_allclose(G @ G, np.eye(ic.dim), atol=1e-10)
+            np.testing.assert_allclose(G @ ic.s, -ic.s, atol=1e-10)
+            rng = np.random.default_rng(seed)
+            z = constraint_point(built, rng)
+            np.testing.assert_allclose(ic.apply(z), z, rtol=0, atol=1e-10)
+            c = rng.normal(size=(3, ic.dim))
+            np.testing.assert_allclose(ic.apply(c), c @ G.T + ic.s, rtol=0, atol=1e-12)
+
+        if name in FORM_EXAMPLES:
+            check = example(0, FORM_EXAMPLES[name])(check)
+        check()
 
     @pytest.mark.parametrize(
         "make, match",

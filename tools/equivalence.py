@@ -11,10 +11,14 @@ its own, into the same relative `--out`, because `summary.json` records
 shipped problems and a seeded asynchronous `run` of each; the three
 commands on the block form, the factored form and the factored form with a
 linear cost; and one command for each of the exit codes 1, 2 and 3.
+Each command has its documented exit code, and a command differs when
+either side exits otherwise, or when the sides' stdout, stderr or written
+files differ; `tools/equivalence.py . .` thus checks one checkout alone.
 
 Printed: one line per command, `equal` with its exit code and the number of
-files it wrote, or which of the exit code, stdout, stderr and written files
-differ; then how many commands were equal.  Exits 1 on any difference.
+files it wrote, or which side exited otherwise and which of stdout, stderr
+and the written files differ; then how many commands were equal.  Exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -45,10 +49,17 @@ COMMANDS = [
       for name in PROBLEMS),
     *([command, "--config", f"{form}.json"] for form in ("block", "factored", "factored_linear")
       for command in ("run", "verify", "compare")),
-    ["run", "--config", "gram_overflow.json"],  # exit 1
-    ["run", "--problem", "lasso_huber", "--max-iters", "5"],  # exit 2
-    ["compare", "--config", "singular_lp.json"],  # exit 3
-]  # `compare --problem sparse_equalizer`, above, exits 1: it has no oracle
+    ["run", "--config", "gram_overflow.json"],
+    ["run", "--problem", "lasso_huber", "--max-iters", "5"],
+    ["compare", "--config", "singular_lp.json"],
+]
+# each command's documented exit code: 0 unless named here
+EXIT_CODES = {
+    "compare --problem sparse_equalizer": 1,  # no independent oracle
+    "run --config gram_overflow.json": 1,  # a configuration error
+    "run --problem lasso_huber --max-iters 5": 2,  # not converged
+    "compare --config singular_lp.json": 3,  # the reference oracle failed
+}
 
 
 def start(checkout: Path, workdir: Path, argv: list, out: str) -> subprocess.Popen:
@@ -66,9 +77,12 @@ def outcome(proc: subprocess.Popen, out: Path) -> dict:
     return {"exit code": proc.returncode, "stdout": stdout, "stderr": stderr, "files": files}
 
 
-def differences(parent: dict, change: dict) -> list:
-    """The parts of two outcomes that differ; the files part names the differing files."""
-    found = [part for part in ("exit code", "stdout", "stderr") if parent[part] != change[part]]
+def differences(parent: dict, change: dict, code: int) -> list:
+    """Each side that exits other than `code`, then the parts of the two outcomes
+    that differ; the files part names the differing files."""
+    found = [f"{side} exit {ran['exit code']}, not {code}"
+             for side, ran in (("parent", parent), ("change", change)) if ran["exit code"] != code]
+    found += [part for part in ("stdout", "stderr") if parent[part] != change[part]]
     names = sorted(name for name in parent["files"].keys() | change["files"].keys()
                    if parent["files"].get(name) != change["files"].get(name))
     if names:
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
                      for checkout, workdir in zip(sides, workdirs)]
             parent, change = (outcome(proc, workdir / out)
                               for proc, workdir in zip(procs, workdirs))
-            found = differences(parent, change)
+            found = differences(parent, change, EXIT_CODES.get(" ".join(argv), 0))
             differing += bool(found)
             status = ("differ: " + ", ".join(found) if found else
                       f"equal (exit {parent['exit code']}, {len(parent['files'])} files)")
