@@ -1,8 +1,9 @@
 """Command-line front end: run experiments, verify convergence
 certificates, and compare fixed points against the reference oracles.
 
-All outputs are deterministic functions of the configuration (seeds
-included): re-running a command never changes a written file.
+Outputs are deterministic functions of the configuration (seeds included) and
+record no `--out`: a rerun writes the same bytes anywhere, under one numpy and
+BLAS build and BLAS thread count (which moves the factored form's bits, N > 512).
 """
 
 from __future__ import annotations
@@ -120,10 +121,10 @@ def _write_trace(path: Path, trace) -> None:
 
 
 def _report(cfg: RunConfig, name: str, payload: dict) -> Path:
-    """Write `config` plus `payload`, keys sorted, to `name` in `cfg.out` (made if missing)."""
+    """Write `config` but `out`, plus `payload`, to `name` in `cfg.out` (made if missing)."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = {"config": asdict(cfg), **payload}
+    report = {"config": {k: v for k, v in asdict(cfg).items() if k != "out"}, **payload}
     (out / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return out
 
@@ -143,7 +144,6 @@ def cmd_run(cfg: RunConfig) -> int:
         "normalized_iterations": float(result.state.normalized_iter),
         "final_residual": float(result.trace.self_residual[-1]) if len(result.trace) else None,
         "readout": {"a": result.a.tolist(), "b": result.b.tolist()},
-        "seed": cfg.seed,
     })
     _write_trace(out / "trace.csv", result.trace)
     return 0 if result.converged else 2

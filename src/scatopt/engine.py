@@ -253,9 +253,9 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
 
 
-def _check_limits(tol: float, max_iters: int) -> None:
-    """ValueError unless tol is positive and finite and max_iters nonnegative."""
-    if not 0.0 < tol < math.inf:
+def _check_limits(tol: float | None, max_iters: int) -> None:
+    """ValueError unless tol is None or positive and finite, and max_iters nonnegative."""
+    if tol is not None and not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
@@ -343,7 +343,7 @@ def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
 def run(
     system: System,
     bank: DelayBank | None = None,
-    tol: float = 1e-8,
+    tol: float | None = 1e-8,
     max_iters: int = 100000,
     d0: np.ndarray | None = None,
     d_star: np.ndarray | None = None,
@@ -353,13 +353,17 @@ def run(
     """Iterate until the self-residual ||d_next - d|| <= tol (1 + ||d||).
 
     tol bounds the last step, not the distance to the solution, which can
-    be far larger on a slowly contracting system.  `d_star` adds oracle
+    be far larger on a slowly contracting system; `tol=None` makes exactly
+    `max_iters` updates and reports `converged` false.  `d_star` adds oracle
     residuals ||d - d_star||^2 to the trace; `objective` (a callable on
     the primal mix (c + d)/2) adds objective values.  Runs are
-    deterministic functions of (system, bank.seed).
+    deterministic functions of (system, bank.seed), given one numpy and
+    BLAS build and BLAS thread count: the thread count moves the bits of
+    the factored form's Gram inverse (N > 512).
     Raises `DivergedError`, carrying the trace so far, when the state
-    becomes non-finite; ValueError for a tol that is not positive and
-    finite, a negative max_iters, or a d0 or d_star not of shape (N,).
+    becomes non-finite; ValueError for a tol that is neither None nor
+    positive and finite, a negative max_iters, or a d0 or d_star not of
+    shape (N,).
     """
     _check_limits(tol, max_iters)
     d = np.zeros(system.dim) if d0 is None else _vector(system, "d0", d0)
@@ -411,7 +415,7 @@ def run_ensemble(
     system: System,
     seeds,
     p: float = 0.1,
-    tol: float = 1e-6,
+    tol: float | None = 1e-6,
     max_iters: int = 100000,
     d0: np.ndarray | None = None,
 ):

@@ -152,14 +152,8 @@ def superposition_gap(
     d_star = np.asarray(d_star, dtype=float)
     if bank is None:
         bank = DelayBank()
-    res = run(
-        system,
-        bank,
-        tol=1e-300,
-        max_iters=iters + 1,
-        d0=d_star + e0,
-        record_states=True,
-    )
-    traj = res.trace.states
-    err = run_error_system(system, d_star, e0, iters=len(traj) - 1, bank=bank)
-    return float(np.abs((traj - d_star) - err[: len(traj)]).max())
+    # iters + 1 updates record the states d[0] .. d[iters]
+    traj = run(system, bank, tol=None, max_iters=iters + 1, d0=d_star + e0,
+               record_states=True).trace.states
+    err = run_error_system(system, d_star, e0, iters=iters, bank=bank)
+    return float(np.abs((traj - d_star) - err).max())

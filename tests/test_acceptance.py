@@ -206,7 +206,7 @@ def criterion_09_ratio(system):
     res, final = run_ensemble(system, range(20), p=p, tol=1e-6, max_iters=500000)
     # the ratio reads sync entries up to index floor((K - 1) p) for K
     # lockstep iterations; a budget of floor(K p) + 2 reaches every one
-    sync_res = run(system, DelayBank(), tol=1e-300,
+    sync_res = run(system, DelayBank(), tol=None,
                    max_iters=int(res.shape[1] * p) + 2).trace.self_residual
     all_reached = bool(np.all(res[:, -1] <= 1e-6 * (1.0 + np.linalg.norm(final, axis=1))))
     avg = res.mean(axis=0)
@@ -279,12 +279,7 @@ def test_criterion_12_determinism(announce, tmp_path):
             "--seed", "11", "--tol", "1e-6"]
     cli_main(args + ["--out", str(out1)])
     cli_main(args + ["--out", str(out2)])
-    traces_equal = (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    import json
-
-    s1 = json.loads((out1 / "summary.json").read_text())
-    s2 = json.loads((out2 / "summary.json").read_text())
-    s1["config"].pop("out"), s2["config"].pop("out")
-    ok = traces_equal and s1 == s2
+    written = [{f.name: f.read_bytes() for f in sorted(out.iterdir())} for out in (out1, out2)]
+    ok = len(written[0]) == 2 and written[0] == written[1]
     announce(12, "repeated seeded runs are byte-identical", ok)
     assert ok

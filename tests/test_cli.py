@@ -148,17 +148,18 @@ class TestRunCommand:
         line1 = text.splitlines()[1].split(",")
         assert line1[2] == repr(float(line1[2]))
 
-    def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        args = ["run", "--problem", "lasso_augmented", "--mode", "async",
-                "--seed", "7", "--tol", "1e-6"]
-        assert main(args + ["--out", str(out1)]) == 0
-        assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-        s1 = json.loads((out1 / "summary.json").read_text())
-        s2 = json.loads((out2 / "summary.json").read_text())
-        s1["config"].pop("out"), s2["config"].pop("out")
-        assert s1 == s2
+    @pytest.mark.parametrize("args", [
+        ["run", "--problem", "lasso_augmented", "--mode", "async", "--seed", "7", "--tol", "1e-6"],
+        ["verify", "--problem", "lasso_huber"],
+        ["compare", "--problem", "lasso_huber"],
+    ], ids=["run", "verify", "compare"])
+    def test_byte_identical_reruns(self, tmp_path, args):
+        # every file repeats byte for byte in another directory
+        written = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(args + ["--out", str(out)]) == 0
+            written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert written[0] == written[1]
 
     def test_nonconvergence_exit_code(self, tmp_path):
         code = main([

@@ -321,6 +321,13 @@ class TestRun:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 run(single_quadratic_system(), tol=tol)
 
+    def test_no_tol_makes_exactly_the_budget(self):
+        # d = 0 is the fixed point, so any tol stops at the first update
+        system = single_quadratic_system()
+        assert run(system, max_iters=7).state.iter == 0
+        result = run(system, tol=None, max_iters=7)
+        assert (result.converged, result.state.iter, len(result.trace)) == (False, 7, 7)
+
     def test_rejects_negative_budget_and_misshapen_vectors(self):
         system, *_ = least_squares_system()
         with pytest.raises(ValueError, match="max_iters must be nonnegative"):
@@ -371,7 +378,7 @@ class TestRunEnsemble:
         for i, seed in enumerate(seeds):
             single = run(
                 system, DelayBank("asynchronous", p=p, seed=seed),
-                tol=1e-300, max_iters=res.shape[1],
+                tol=None, max_iters=res.shape[1],
             )
             np.testing.assert_allclose(res[i], single.trace.self_residual, atol=1e-12)
 
@@ -421,11 +428,9 @@ class TestErrorSystem:
         d_star = run(system, tol=1e-13, max_iters=200000).state.d
         rng = np.random.default_rng(0)
         e0 = 0.1 * rng.normal(size=system.dim)
-        traj = run(
-            system, tol=1e-300, max_iters=51, d0=d_star + e0, record_states=True
-        ).trace.states
-        err = run_error_system(system, d_star, e0, iters=len(traj) - 1)
-        np.testing.assert_allclose(traj - d_star, err[: len(traj)], atol=1e-10)
+        traj = run(system, tol=None, max_iters=51, d0=d_star + e0, record_states=True).trace.states
+        err = run_error_system(system, d_star, e0, iters=50)
+        np.testing.assert_allclose(traj - d_star, err, atol=1e-10)
 
     def test_zero_error_stays_zero(self):
         system, *_ = least_squares_system()

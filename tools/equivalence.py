@@ -5,10 +5,10 @@
 Each side runs one fixed set of `scatopt` commands, each in a fresh
 `python -m scatopt.cli` with `PYTHONPATH=<side>/src`,
 `PYTHONDONTWRITEBYTECODE=1` and `OPENBLAS_NUM_THREADS=1`; nothing is
-imported from either checkout.  Each side runs in a temporary directory of
-its own, into the same relative `--out`, because `summary.json` records
-`--out` as typed.  The set covers `run`, `verify` and `compare` on the six
-shipped problems and a seeded asynchronous `run` of each; the three
+imported from either checkout.  Both sides run from one temporary
+directory, each into its own `--out`, so a file that depends on where it
+was written differs.  The set covers `run`, `verify` and `compare` on the
+six shipped problems and a seeded asynchronous `run` of each; the three
 commands on the block form, the factored form and the factored form with a
 linear cost; and one command for each of the exit codes 1, 2 and 3.
 Each command has its documented exit code, and a command differs when
@@ -33,7 +33,7 @@ from pathlib import Path
 
 PROBLEMS = ("lasso_huber", "lasso_augmented", "minimax_fir", "minimax_fir_split",
             "svm_consensus", "sparse_equalizer")
-# written into each side's directory and passed as `--config NAME.json`
+# written into the working directory and passed as `--config NAME.json`
 CONFIGS = {
     "block": {"problem": "svm_consensus", "instance": {"n_agents": 100}},
     "factored": {"problem": "lasso_huber", "instance": {"m": 100, "n": 500}},
@@ -100,17 +100,14 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "scatopt" / "cli.py").is_file():
             parser.error(f"{checkout} holds no src/scatopt/cli.py")
     differing = 0
-    with tempfile.TemporaryDirectory() as parent_dir, tempfile.TemporaryDirectory() as change_dir:
-        workdirs = [Path(parent_dir), Path(change_dir)]
-        for workdir in workdirs:
-            for form, config in CONFIGS.items():
-                (workdir / f"{form}.json").write_text(json.dumps(config))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for form, config in CONFIGS.items():
+            (workdir / f"{form}.json").write_text(json.dumps(config))
         for k, argv in enumerate(COMMANDS):
-            out = f"out/{k:02d}"
-            procs = [start(checkout, workdir, argv, out)
-                     for checkout, workdir in zip(sides, workdirs)]
-            parent, change = (outcome(proc, workdir / out)
-                              for proc, workdir in zip(procs, workdirs))
+            outs = [f"{side}/{k:02d}" for side in ("parent", "change")]
+            procs = [start(checkout, workdir, argv, out) for checkout, out in zip(sides, outs)]
+            parent, change = (outcome(proc, workdir / out) for proc, out in zip(procs, outs))
             found = differences(parent, change, EXIT_CODES.get(" ".join(argv), 0))
             differing += bool(found)
             status = ("differ: " + ", ".join(found) if found else
