@@ -3,7 +3,9 @@ certificates, and compare fixed points against the reference oracles.
 
 Outputs are deterministic functions of the configuration (seeds included) and
 record no `--out`: a rerun writes the same bytes anywhere, under one numpy and
-BLAS build and BLAS thread count (which moves the factored form's bits, N > 512).
+BLAS build and BLAS thread count: at one and two threads the dense and block forms
+repeat, the factored form's files move at a 100 x 100 Gram matrix and only its
+`verify` at 9 x 9 (README lists what was measured).
 """
 
 from __future__ import annotations

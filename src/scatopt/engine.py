@@ -305,16 +305,16 @@ def _rows_pass(resid: np.ndarray, D: np.ndarray, tol: float) -> bool:
     return alone and (resid <= tol * (1.0 + _row_norms(D))).all()
 
 
-def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
+def _iterate(step, d, tol, max_iters, resids, draw=None):
     """The one iteration loop: the registers drawn by `draw()` (all of
     them without a draw) adopt step(d), until ||step(d) - d|| <= tol (1 +
     ||d||) holds for the state d (N,) or for every row of a stack (R, N).
 
-    Residuals are appended to `resids`; `observe(d)` sees each iterate.
-    A single state adopts in place, so `d` must be the loop's own array
-    and `observe` must copy what it keeps.  `tol=None` makes exactly
-    `max_iters` updates.  Returns (d, updates, converged); raises
-    `DivergedError` once the state is non-finite.
+    Residuals are appended to `resids`; `step` is the only hook, and a run
+    that records its iterates does so inside it.  A single state adopts in
+    place, so `d` must be the loop's own array and `step` must copy what it
+    keeps.  `tol=None` makes exactly `max_iters` updates.  Returns (d,
+    updates, converged); raises `DivergedError` once the state is non-finite.
     """
     single = d.ndim == 1
     norm, isfinite, every = ((_norm, math.isfinite, bool) if single
@@ -324,8 +324,6 @@ def _iterate(step, d, tol, max_iters, resids, draw=None, observe=None):
             cand = step(d)
             resid = norm(cand - d)
             resids.append(resid)
-            if observe is not None:
-                observe(d)
             if not every(isfinite(resid)) and not np.isfinite(d).all():
                 raise DivergedError(f"non-finite state at iteration {k}")
             if tol is not None and (resid <= tol * (1.0 + _norm(d)) if single
@@ -358,8 +356,8 @@ def run(
     residuals ||d - d_star||^2 to the trace; `objective` (a callable on
     the primal mix (c + d)/2) adds objective values.  Runs are
     deterministic functions of (system, bank.seed), given one numpy and
-    BLAS build and BLAS thread count: the thread count moves the bits of
-    the factored form's Gram inverse (N > 512).
+    BLAS build and BLAS thread count: at one and two threads, dense and
+    block runs repeat, factored ones move at a 100 x 100 Gram matrix, not 9 x 9.
     Raises `DivergedError`, carrying the trace so far, when the state
     becomes non-finite; ValueError for a tol that is neither None nor
     positive and finite, a negative max_iters, or a d0 or d_star not of
@@ -374,21 +372,17 @@ def run(
     p_eff = bank.effective_p
     draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
     resids, oresids, objs, states = [], [], [], []
-    bank_map, update, c = system.apply_elements, _stepper(system), None
+    bank_map, update = system.apply_elements, _stepper(system)
 
-    def step(d):
-        # keeps m(d) for the objective, which `observe` takes at the same d
-        nonlocal c
+    def recording_step(d):  # records at d, before the registers adopt
         c = bank_map(d)
-        return update(d, c)
-
-    def observe(d):
         if d_star is not None:
             oresids.append(oracle_residual(d, d_star))
         if objective is not None:
             objs.append(float(objective(system.primal_mix(d, c))))
         if record_states:
             states.append(d.copy())
+        return update(d, c)
 
     def trace():
         iters = np.arange(len(resids))
@@ -399,10 +393,10 @@ def run(
             states=np.asarray(states) if states else None,
         )
 
-    if d_star is None and objective is None and not record_states:
-        step, observe = update, None
+    recording = d_star is not None or objective is not None or record_states
     try:
-        d, k, converged = _iterate(step, d, tol, max_iters, resids, draw, observe)
+        d, k, converged = _iterate(recording_step if recording else update, d, tol,
+                                   max_iters, resids, draw)
     except DivergedError as exc:
         exc.trace = trace()
         raise
@@ -469,13 +463,13 @@ def run_error_system(
     bank = DelayBank() if bank is None else bank
     bank.reset()
     draw = None if bank.mode == "synchronous" else partial(bank.triggers, system)
-    c_star = system.apply_elements(d_star)
+    c_star, out = system.apply_elements(d_star), []
 
     def step(e):
+        out.append(e.copy())
         c_err = system.apply_elements(d_star + e) - c_star
         return (1.0 - system.gamma) * e + system.gamma * system.interconnection.linear(c_err)
 
-    out = []
-    e, _, _ = _iterate(step, e0, None, iters, [], draw, lambda e: out.append(e.copy()))
+    e, _, _ = _iterate(step, e0, None, iters, [], draw)
     out.append(e)
     return np.asarray(out)

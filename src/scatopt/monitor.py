@@ -150,8 +150,6 @@ def superposition_gap(
     the superposition d* + e[n] of the fixed point with the error system.
     """
     d_star = np.asarray(d_star, dtype=float)
-    if bank is None:
-        bank = DelayBank()
     # iters + 1 updates record the states d[0] .. d[iters]
     traj = run(system, bank, tol=None, max_iters=iters + 1, d0=d_star + e0,
                record_states=True).trace.states

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 from types import SimpleNamespace
 
@@ -220,7 +223,7 @@ class TestTriggerStream:
         system, *_ = least_squares_system()
         seeds, p, masks = [3, 5, 8], 0.25, []
 
-        def drawing_loop(step, d, tol, max_iters, resids, draw=None, observe=None):
+        def drawing_loop(step, d, tol, max_iters, resids, draw=None):
             masks.extend(draw().copy() for _ in range(200))  # three refills and a part
             return d, 0, False
 
@@ -286,14 +289,18 @@ class TestRun:
             np.sum((result.state.d - d_star) ** 2), abs=1e-12
         )
 
-    def test_objective_reuses_the_step_bank(self):
+    @pytest.mark.parametrize("delays", [DelayBank(), DelayBank("asynchronous", 0.3, 2)],
+                             ids=["sync", "async"])
+    def test_objective_reuses_the_step_bank(self, delays):
         # the objective sees the step's own m(d): the same values as the
-        # primal mix recomputed at each state, from one bank call per step
+        # primal mix recomputed at each state, from one bank call per step;
+        # an asynchronous state adopts in place, so each record must be
+        # taken before adoption and copied
         system, _, _, _ = least_squares_system()
         calls = []
         bank = system.apply_elements
         system.apply_elements = lambda d: calls.append(1) or bank(d)
-        result = run(system, tol=1e-8, objective=lambda z: float(np.sum(z**2)),
+        result = run(system, delays, tol=1e-8, objective=lambda z: float(np.sum(z**2)),
                      record_states=True)
         del system.apply_elements
         trace = result.trace
@@ -557,6 +564,40 @@ class TestReferenceKernel:
             lambda e: (1.0 - gamma) * e + gamma * ic.linear(reflect(d_star + e) - c_star),
             e0, None, self.CAP, partial(reset_banks([0])[0].triggers, system))
         assert np.array_equal(got, np.asarray(seen + [e]))
+
+
+class TestThreadCount:
+    def test_dense_and_block_forms_repeat_at_one_and_two_blas_threads(self):
+        # the six defaults and the 100-agent svm (the block form), sync and
+        # async, and each interconnection's product on the kind of stack
+        # that `verify` multiplies: one digest per thread count, equal; the
+        # factored form is left out, since its bits move with the thread count
+        code = (
+            "import hashlib, numpy as np\n"
+            "from scatopt import problems\n"
+            "from scatopt.engine import DelayBank, run\n"
+            "digest = hashlib.sha256()\n"
+            "forms = [(name, None) for name in problems.PROBLEM_NAMES]\n"
+            "for name, params in forms + [('svm_consensus', {'n_agents': 100})]:\n"
+            "    instance = problems.default_instance(name, params=params)\n"
+            "    system = problems.build(name, instance).system\n"
+            "    for bank in (DelayBank(), DelayBank('asynchronous', 0.1, 0)):\n"
+            "        r = run(system, bank, tol=1e-4, max_iters=300)\n"
+            "        for x in (r.state.d, r.a, r.b, r.trace.self_residual):\n"
+            "            digest.update(np.ascontiguousarray(x).tobytes())\n"
+            "    stack = np.random.default_rng(0).normal(size=(300, system.dim))\n"
+            "    digest.update(system.interconnection.linear(stack).tobytes())\n"
+            "print(digest.hexdigest())"
+        )
+        # two children at once, at most two BLAS threads: no more than two CPUs are assumed
+        children = [subprocess.Popen([sys.executable, "-c", code], text=True,
+                                     stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+                    for threads in ("1", "2")]
+        outs = [child.communicate() for child in children]
+        assert [child.returncode for child in children] == [0, 0], [err for _, err in outs]
+        one, two = (out.strip() for out, _ in outs)
+        assert len(one) == 64 and one == two
 
 
 class TestScaled:
