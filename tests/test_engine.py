@@ -289,13 +289,10 @@ class TestRun:
             np.sum((result.state.d - d_star) ** 2), abs=1e-12
         )
 
-    @pytest.mark.parametrize("delays", [DelayBank(), DelayBank("asynchronous", 0.3, 2)],
-                             ids=["sync", "async"])
-    def test_objective_reuses_the_step_bank(self, delays):
+    @staticmethod
+    def check_objective_reuses_the_step_bank(delays):
         # the objective sees the step's own m(d): the same values as the
-        # primal mix recomputed at each state, from one bank call per step;
-        # an asynchronous state adopts in place, so each record must be
-        # taken before adoption and copied
+        # primal mix recomputed at each state, from one bank call per step
         system, _, _, _ = least_squares_system()
         calls = []
         bank = system.apply_elements
@@ -308,6 +305,14 @@ class TestRun:
         np.testing.assert_array_equal(trace.objective, expect)
         # one call per step, then the readout and the final primal mix
         assert len(calls) == len(trace) + 2
+
+    def test_objective_reuses_the_step_bank(self):
+        self.check_objective_reuses_the_step_bank(DelayBank())
+
+    def test_async_objective_reuses_the_step_bank(self):
+        # an asynchronous state adopts in place, so each record must be
+        # taken before adoption and copied
+        self.check_objective_reuses_the_step_bank(DelayBank("asynchronous", 0.3, 2))
 
     def test_divergence_detected(self):
         # a deliberately non-orthonormal expanding loop blows up
