@@ -2,10 +2,9 @@
 certificates, and compare fixed points against the reference oracles.
 
 Outputs are deterministic functions of the configuration (seeds included) and
-record no `--out`: a rerun writes the same bytes anywhere, under one numpy and
-BLAS build and BLAS thread count: at one and two threads the dense and block forms
-repeat, the factored form's files move at a 100 x 100 Gram matrix and only its
-`verify` at 9 x 9 (README lists what was measured).
+record no `--out`: a rerun writes the same bytes anywhere, given the same numpy
+and BLAS build and the same BLAS thread count (README lists which outputs were
+measured to move between one and two threads).
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     built = cfg.built_problem()
     system = built.system
     # the reference stops on the relative update test, while the
-    # certificates demand an absolute fixed-point residual of 1e-8
+    # certificates demand an absolute fixed-point residual (monitor._FIXED_POINT_TOL)
     try:
         d_star = monitor.reference_fixed_point(
             system, tol=min(cfg.tol, 1e-12), max_iters=max(cfg.max_iters, 500000)
@@ -198,12 +197,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     # the oracles load only here
     from .oracles import OracleFailure
 
+    built = cfg.built_problem()  # a configuration error first
     compare = problems.PROBLEMS[cfg.problem].compare
     if compare is None:
         print(f"compare: no independent oracle exists for {cfg.problem}; "
               "use `run` and inspect the trace instead", file=sys.stderr)
         return 1
-    built = cfg.built_problem()
     result = run(built.system, cfg.delay_bank(), tol=cfg.tol, max_iters=cfg.max_iters)
     try:
         metrics = compare(built, result.state.d)

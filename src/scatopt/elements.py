@@ -422,20 +422,23 @@ def _deviation_ratios(f, center: np.ndarray, n: int, radius: float, seed: int) -
     return np.linalg.norm(dev, axis=1) / np.linalg.norm(E, axis=1)
 
 
+_DISSIPATIVITY_TOL = 1e-10  # rounding allowance on the probe's largest ratio
+
+
 def dissipativity_probe(
     element: Element,
     d_star: np.ndarray,
     n: int = 1000,
     radius: float = 1.0,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> DissipativityReport:
     """Empirically bound the expansiveness of the reflected map about d_star.
 
     Samples n points uniformly in a ball of the given radius around d_star
     and reports the largest observed ratio
-    ||m(d) - m(d_star)|| / ||d - d_star||; passes iff it stays <= 1 + tol.
+    ||m(d) - m(d_star)|| / ||d - d_star||; passes iff it stays
+    <= 1 + _DISSIPATIVITY_TOL.
     """
     d_star = np.atleast_1d(np.asarray(d_star, dtype=float))
-    max_ratio = float(_deviation_ratios(element.reflect, d_star, n, radius, seed).max())
-    return DissipativityReport(samples=n, max_ratio=max_ratio, passed=max_ratio <= 1.0 + tol)
+    worst = float(_deviation_ratios(element.reflect, d_star, n, radius, seed).max())
+    return DissipativityReport(samples=n, max_ratio=worst, passed=worst <= 1.0 + _DISSIPATIVITY_TOL)

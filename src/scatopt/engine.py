@@ -355,9 +355,9 @@ def run(
     `max_iters` updates and reports `converged` false.  `d_star` adds oracle
     residuals ||d - d_star||^2 to the trace; `objective` (a callable on
     the primal mix (c + d)/2) adds objective values.  Runs are
-    deterministic functions of (system, bank.seed), given one numpy and
-    BLAS build and BLAS thread count: at one and two threads, dense and
-    block runs repeat, factored ones move at a 100 x 100 Gram matrix, not 9 x 9.
+    deterministic functions of (system, bank.seed), given the same numpy
+    and BLAS build and the same BLAS thread count (README lists what moves
+    between one and two threads).
     Raises `DivergedError`, carrying the trace so far, when the state
     becomes non-finite; ValueError for a tol that is neither None nor
     positive and finite, a negative max_iters, or a d0 or d_star not of

@@ -58,14 +58,18 @@ class OrthonormalityReport:
     passed: bool
 
 
-def check_orthonormal(G: np.ndarray, tol: float = 1e-10) -> OrthonormalityReport:
+_ORTHONORMAL_TOL = 1e-10  # the largest deviation that passes as orthonormal
+
+
+def check_orthonormal(G: np.ndarray) -> OrthonormalityReport:
     """Report the max-abs deviation of G^T G from the identity, for one
-    square matrix or the worst of a stack (nb, k, k) of them."""
+    square matrix or the worst of a stack (nb, k, k) of them; it passes
+    when that is at most _ORTHONORMAL_TOL."""
     G = np.asarray(G, dtype=float)
     if G.ndim not in (2, 3) or G.shape[-1] != G.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {G.shape}")
     dev = float(np.abs(np.swapaxes(G, -1, -2) @ G - np.eye(G.shape[-1])).max())
-    return OrthonormalityReport(max_deviation=dev, passed=dev <= tol)
+    return OrthonormalityReport(max_deviation=dev, passed=dev <= _ORTHONORMAL_TOL)
 
 
 # `from_constraints` keeps G as per-component blocks when the blocks hold

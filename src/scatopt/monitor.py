@@ -44,13 +44,21 @@ def reference_fixed_point(
     return result.state.d
 
 
-def _check_fixed_point(system: System, d_star: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """d_star as a float array, once it is checked to be a fixed point (a
-    NaN residual is not one)."""
+_FIXED_POINT_TOL = 1e-8  # the largest residual of a d_star that the certificates accept
+
+
+def _check_fixed_point(system: System, d_star: np.ndarray) -> np.ndarray:
+    """d_star as a float array, once it is checked to be a fixed point to
+    _FIXED_POINT_TOL (a NaN residual is not one)."""
     resid = fixed_point_residual(system, d_star)
-    if not resid <= tol:
-        raise ValueError(f"d_star is not a fixed point (residual {resid:.3e} > {tol:g})")
+    if not resid <= _FIXED_POINT_TOL:
+        raise ValueError(
+            f"d_star is not a fixed point (residual {resid:.3e} > {_FIXED_POINT_TOL:g})"
+        )
     return np.asarray(d_star, dtype=float)
+
+
+_EQ1_TOL = 1e-10  # the largest relative norm change that passes as neutral
 
 
 @dataclass(frozen=True)
@@ -66,17 +74,22 @@ def certify_eq1(
     n: int = 1000,
     radius: float = 1.0,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> Eq1Report:
     """Check that the interconnection is neutral on element-output deviations:
     ||G (m(d) - m(d*))|| equals ||m(d) - m(d*)|| for sampled d about d*.
+
+    `max_deviation` is the largest | ||G c'|| - ||c'|| | / (1 + ||c'||);
+    the report passes when it is at most _EQ1_TOL.
     """
     d_star = _check_fixed_point(system, d_star)
     _, c_dev = _deviations(system.apply_elements, d_star, n, radius, seed)
     lhs = np.linalg.norm(system.interconnection.linear(c_dev), axis=1)
     rhs = np.linalg.norm(c_dev, axis=1)
     worst = float((np.abs(lhs - rhs) / (1.0 + rhs)).max())
-    return Eq1Report(samples=n, max_deviation=worst, passed=worst <= tol)
+    return Eq1Report(samples=n, max_deviation=worst, passed=worst <= _EQ1_TOL)
+
+
+_EQ2_SLACK = 1e-12  # rounding allowance on the ratio, both for passing and for strictness
 
 
 @dataclass(frozen=True)
@@ -93,21 +106,21 @@ def certify_eq2(
     n: int = 1000,
     radius: float = 1.0,
     seed: int = 0,
-    slack: float = 1e-12,
 ) -> NormReductionCertificate:
     """Check that the element bank does not amplify deviations about d*:
     ||m(d* + e) - m(d*)|| <= ||e|| for sampled e != 0.
 
-    `strict_reductions` counts samples where the inequality is strict; a
-    bank that is merely nonexpansive (flat prox regions) passes the weak
+    The report passes when `max_ratio` is at most 1 + _EQ2_SLACK.
+    `strict_reductions` counts samples whose ratio is below 1 - _EQ2_SLACK;
+    a bank that is merely nonexpansive (flat prox regions) passes the weak
     check while reporting fewer strict reductions than samples.
     """
     d_star = _check_fixed_point(system, d_star)
     ratios = _deviation_ratios(system.apply_elements, d_star, n, radius, seed)
     worst = float(ratios.max())
-    strict = int(np.count_nonzero(ratios < 1.0 - slack))
+    strict = int(np.count_nonzero(ratios < 1.0 - _EQ2_SLACK))
     return NormReductionCertificate(
-        samples=n, max_ratio=worst, strict_reductions=strict, passed=worst <= 1.0 + slack
+        samples=n, max_ratio=worst, strict_reductions=strict, passed=worst <= 1.0 + _EQ2_SLACK
     )
 
 
@@ -118,9 +131,13 @@ class TraceStats:
     final_residual: float
 
 
-def trace_stats(trace: RunTrace, slack: float = 1e-12) -> TraceStats:
-    """Summarize a run trace: residual monotonicity and first-passage
-    iteration counts at thresholds 1e-3, 1e-6, 1e-9.
+_TRACE_SLACK = 1e-12  # the largest residual rise that still counts as monotone
+
+
+def trace_stats(trace: RunTrace) -> TraceStats:
+    """Summarize a run trace: residual monotonicity (no rise above
+    _TRACE_SLACK) and first-passage iteration counts at thresholds 1e-3,
+    1e-6, 1e-9.
 
     Uses the oracle residual when recorded, the self-residual otherwise.
     """
@@ -129,7 +146,7 @@ def trace_stats(trace: RunTrace, slack: float = 1e-12) -> TraceStats:
     series = (
         trace.oracle_residual if trace.oracle_residual is not None else trace.self_residual
     )
-    monotone = bool(np.all(np.diff(series) <= slack))
+    monotone = bool(np.all(np.diff(series) <= _TRACE_SLACK))
     iters_to = {}
     for thr in (1e-3, 1e-6, 1e-9):
         hit = np.nonzero(series <= thr)[0]

@@ -35,15 +35,19 @@ class OracleSolution:
     extras: dict
 
 
-def _coordinate_descent(A, y, rho, step, tol, max_iters):
+_CD_STEP_TOL = 1e-12  # largest coordinate step of the last sweep, both lasso oracles
+
+
+def _coordinate_descent(A, y, rho, step, max_iters):
     """Cyclic exact coordinate minimization of (rho/2) ||A x - y||^2 plus
     a separable convex penalty, from x = 0 (convergent: Tseng, JOTA 2001).
 
     `step(corr, c)` minimizes (c/2) t^2 - corr t + phi(t), with
     c = rho ||a_j||^2 and corr = rho a_j^T r, r the residual without
     coordinate j; coordinates with c = 0 stay at zero.  Returns x after the
-    first sweep whose largest step is at most `tol`; OracleFailure if none
-    does or a sweep leaves the residual non-finite (`max` skips a NaN step).
+    first of at most `max_iters` sweeps whose largest step is at most
+    _CD_STEP_TOL; OracleFailure if none does or a sweep leaves the residual
+    non-finite (`max` skips a NaN step).
     """
     curv = rho * np.einsum("ij,ij->j", A, A)
     x = np.zeros(A.shape[1])
@@ -59,18 +63,21 @@ def _coordinate_descent(A, y, rho, step, tol, max_iters):
             delta = max(delta, abs(x[j] - old))
         if not np.isfinite(r).all():
             raise OracleFailure("coordinate descent took a non-finite step")
-        if delta <= tol:
+        if delta <= _CD_STEP_TOL:
             return x
     raise OracleFailure(f"coordinate descent stalled with step {delta:.3e}")
 
 
-def oracle_lasso_huber(
-    inst: LassoInstance, tol: float = 1e-6, max_iters: int = 100000
-) -> OracleSolution:
-    """Coordinate descent on the smooth total cost to steps of 1e-12;
-    `max_iters` counts sweeps.  Each step is exact: the Huber term is
-    lam t^2 / (2 eps) inside the notch |t| <= eps, lam (|t| - eps/2)
-    outside.  The oracle fails unless its gradient norm is at most `tol`.
+_HUBER_GRAD_TOL = 1e-6  # the Huber-lasso oracle's largest accepted gradient norm
+_HUBER_MAX_SWEEPS = 100000
+
+
+def oracle_lasso_huber(inst: LassoInstance) -> OracleSolution:
+    """Coordinate descent on the smooth total cost to steps of _CD_STEP_TOL,
+    in at most _HUBER_MAX_SWEEPS sweeps.  Each step is exact: the Huber term
+    is lam t^2 / (2 eps) inside the notch |t| <= eps, lam (|t| - eps/2)
+    outside.  The oracle fails unless its gradient norm, returned as
+    `extras["grad_norm"]`, is at most _HUBER_GRAD_TOL.
     """
     A, y = inst.A, inst.y
     lam, rho, eps = inst.l1_weight, inst.residual_weight, inst.huber_width
@@ -80,28 +87,32 @@ def oracle_lasso_huber(
             return corr / (c + lam / eps)
         return np.sign(corr) * (abs(corr) - lam) / c
 
-    x = _coordinate_descent(A, y, rho, step, 1e-12, max_iters)
+    x = _coordinate_descent(A, y, rho, step, _HUBER_MAX_SWEEPS)
     r, inside = A @ x - y, np.abs(x) <= eps
     grad = np.where(inside, lam * x / eps, lam * np.sign(x)) + rho * A.T @ r
     with np.errstate(over="ignore"):  # a huge instance's norm overflows: it fails below
         gnorm = float(np.linalg.norm(grad))
-    if not gnorm <= tol:
+    if not gnorm <= _HUBER_GRAD_TOL:
         raise OracleFailure(f"huber-lasso oracle stalled at gradient norm {gnorm:.3e}")
     huber = np.where(inside, lam * x**2 / (2 * eps), lam * (np.abs(x) - eps / 2))
     value = float(huber.sum()) + 0.5 * rho * float(r @ r)
     return OracleSolution(x=x, value=value, extras={"grad_norm": gnorm})
 
 
-def oracle_lasso(inst: LassoInstance, tol: float = 1e-12, max_iters: int = 200000) -> OracleSolution:
+_LASSO_MAX_SWEEPS = 200000
+
+
+def oracle_lasso(inst: LassoInstance) -> OracleSolution:
     """Coordinate descent on lam ||x||_1 + (rho/2) ||A x - y||^2, each
-    step a soft threshold; `max_iters` counts sweeps."""
+    step a soft threshold, to steps of _CD_STEP_TOL in at most
+    _LASSO_MAX_SWEEPS sweeps."""
     A, y = inst.A, inst.y
     lam, rho = inst.l1_weight, inst.residual_weight
 
     def step(corr, c):
         return np.sign(corr) * max(abs(corr) - lam, 0.0) / c
 
-    x = _coordinate_descent(A, y, rho, step, tol, max_iters)
+    x = _coordinate_descent(A, y, rho, step, _LASSO_MAX_SWEEPS)
     value = lam * float(np.abs(x).sum()) + 0.5 * rho * float((A @ x - y) @ (A @ x - y))
     return OracleSolution(x=x, value=value, extras={})
 
@@ -199,22 +210,25 @@ def _lp_vertex(A, b, c, x, z):
     return vertex if feasible and z_active.min() >= -_LP_TOL else x
 
 
-def oracle_svm_qp(
-    inst: SvmInstance, tol: float = 1e-10, max_iters: int = 200000
-) -> OracleSolution:
+_SVM_STEP_TOL = 1e-10  # the dual projected gradient's last step norm
+_SVM_MAX_ITERS = 200000
+
+
+def oracle_svm_qp(inst: SvmInstance) -> OracleSolution:
     """Projected gradient on the box-constrained dual of the centralized
-    max-margin problem; the offset comes from a breakpoint search."""
+    max-margin problem, to a step of norm _SVM_STEP_TOL in at most
+    _SVM_MAX_ITERS steps; the offset comes from a breakpoint search."""
     X, y, Cw = inst.features, inst.labels, inst.hinge_weight
     n = X.shape[0]
     Q = (y[:, None] * X) @ (y[:, None] * X).T
     step = 1.0 / (np.linalg.norm(Q, 2) + 1e-12)
     alpha, move = np.zeros(n), np.inf
-    for _ in range(max_iters):
+    for _ in range(_SVM_MAX_ITERS):
         g = Q @ alpha - 1.0
         alpha_new = np.clip(alpha - step * g, 0.0, Cw)
         move = np.linalg.norm(alpha_new - alpha)
         alpha = alpha_new
-        if move <= tol:
+        if move <= _SVM_STEP_TOL:
             break
     else:
         raise OracleFailure(f"dual projected gradient stalled with step {move:.3e}")

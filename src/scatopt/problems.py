@@ -394,7 +394,9 @@ class SvmInstance:
     ) -> "SvmInstance":
         if not math.isfinite(separation):
             raise ValueError(f"separation must be finite, got {separation}")
-        adj = make_regular_graph(n_agents, degree)  # first, so that it, not numpy, rejects n_agents
+        if n_agents <= degree:
+            raise ValueError(f"n_agents must exceed degree ({degree}), got {n_agents}")
+        adj = make_regular_graph(n_agents, degree)
         rng = np.random.default_rng(seed)
         half = n_agents // 2
         direction = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -488,13 +490,15 @@ class EqualizerInstance:
             self.upper_env = target + 0.1
         if self.lower_env is None:
             self.lower_env = target - 0.1
-        self.upper_env = np.asarray(self.upper_env, dtype=float)
-        self.lower_env = np.asarray(self.lower_env, dtype=float)
-        if self.upper_env.shape != (m,) or self.lower_env.shape != (m,):
-            raise ValueError(f"envelopes must have one entry per output sample ({m})")
         for name in ("upper_env", "lower_env"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            env = np.asarray(getattr(self, name), dtype=float)
+            if env.shape != (m,):
+                raise ValueError(
+                    f"{name} must have one entry per output sample ({m}), got shape {env.shape}"
+                )
+            if not np.all(np.isfinite(env)):
                 raise ValueError(f"{name} must be finite")
+            setattr(self, name, env)
         if np.any(self.upper_env < self.lower_env):
             raise ValueError("upper envelope dips below lower envelope")
         if not self.lower_env[self.target_delay] <= 1 <= self.upper_env[self.target_delay]:
@@ -504,10 +508,12 @@ class EqualizerInstance:
 
     @classmethod
     def synthetic(cls, length: int = 32, num_taps: int = 16, seed: int = 0, **kw):
+        if length < 1:
+            raise ValueError(f"length must give the channel at least one tap, got {length}")
         rng = np.random.default_rng(seed)
         decay = 0.7 ** np.arange(length)
-        channel = decay * (1.0 + 0.3 * rng.normal(size=decay.size))
-        channel[:1] = 1.0  # a slice, and decay.size above: an empty channel reaches the check
+        channel = decay * (1.0 + 0.3 * rng.normal(size=length))
+        channel[0] = 1.0
         return cls(channel=channel, num_taps=num_taps, **kw)
 
 

@@ -48,7 +48,7 @@ def test_criterion_01_orthonormality_neutrality(announce):
     ok = True
     for built in all_built_problems():
         G = built.system.interconnection.G
-        ok &= check_orthonormal(G, tol=1e-10).passed
+        ok &= check_orthonormal(G).passed
         for _ in range(100):
             c = rng.normal(size=G.shape[0])
             nc = np.linalg.norm(c)

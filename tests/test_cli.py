@@ -312,7 +312,13 @@ class TestRunCommand:
         (["--config", "{tmp}/late_delay.json"],
          "error: invalid instance parameters: target_delay must lie in [0, 47), got 47"),
         (["--config", "{tmp}/negative_length.json"],
-         "error: invalid instance parameters: channel must have at least one tap"),
+         "error: invalid instance parameters: length must give the channel at least one tap, "
+         "got -1"),
+        (["--config", "{tmp}/short_upper_env.json"],
+         "error: invalid instance parameters: upper_env must have one entry per output sample "
+         "(47), got shape (2,)"),
+        (["--config", "{tmp}/few_svm_agents.json"],
+         "error: invalid instance parameters: n_agents must exceed degree (4), got 4"),
         (["--config", "{tmp}/one_point_grid.json"],
          "error: invalid instance parameters: grid_size must be at least 2, got 1"),
         # an 8 EiB adjacency: numpy refuses it before allocating anything
@@ -323,8 +329,8 @@ class TestRunCommand:
             "out_below_file", "config_is_directory", "config_not_utf8",
             "noninteger_target_delay", "zero_equalizer_taps", "negative_lasso_rows",
             "zero_lasso_columns", "zero_lasso_rows", "lasso_sparsity_above_n",
-            "equalizer_delay_past_output", "negative_equalizer_length", "one_point_fir_grid",
-            "huge_svm_agent_count"])
+            "equalizer_delay_past_output", "negative_equalizer_length", "short_upper_envelope",
+            "too_few_svm_agents", "one_point_fir_grid", "huge_svm_agent_count"])
     def test_rejected_config_exit_code(self, tmp_path, capsys, argv, message):
         (tmp_path / "file.txt").write_text("")
         (tmp_path / "cfgdir").mkdir()
@@ -334,6 +340,8 @@ class TestRunCommand:
                 ("no_taps", "sparse_equalizer", {"num_taps": 0}),
                 ("late_delay", "sparse_equalizer", {"target_delay": 47}),
                 ("negative_length", "sparse_equalizer", {"length": -1}),
+                ("short_upper_env", "sparse_equalizer", {"upper_env": [1, 2]}),
+                ("few_svm_agents", "svm_consensus", {"n_agents": 4}),
                 ("one_point_grid", "minimax_fir", {"grid_size": 1}),
                 ("negative_m", "lasso_huber", {"m": -1}), ("zero_n", "lasso_huber", {"n": 0}),
                 ("zero_m", "lasso_huber", {"m": 0}),
@@ -569,6 +577,15 @@ class TestCompareCommand:
         ])
         assert code == 1
         assert "no independent oracle" in capsys.readouterr().err
+
+    def test_config_error_before_missing_oracle(self, tmp_path, capsys):
+        config = tmp_path / "bogus.json"
+        config.write_text(json.dumps({"problem": "sparse_equalizer", "instance": {"bogus": 1}}))
+        assert main(["compare", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid instance parameters: sparse_equalizer takes no "
+                              "'bogus'")
+        assert "no independent oracle" not in err
 
     def test_oracle_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def stalled(instance):

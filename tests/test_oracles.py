@@ -114,10 +114,11 @@ class TestLassoHuber:
         assert_matches_lbfgsb(inst, sol)
         assert sol.extras["grad_norm"] <= 1e-10
 
-    def test_certificate_raises_above_tol(self):
+    def test_certificate_raises_above_tol(self, monkeypatch):
         # steps of 1e-12 leave a gradient norm near 1e-11, far above this tol
+        monkeypatch.setattr(oracles, "_HUBER_GRAD_TOL", 1e-300)
         with pytest.raises(oracles.OracleFailure, match="stalled at gradient norm"):
-            oracles.oracle_lasso_huber(LassoInstance.random(seed=0), tol=1e-300)
+            oracles.oracle_lasso_huber(LassoInstance.random(seed=0))
 
 
 class TestLasso:
@@ -149,14 +150,15 @@ class TestLasso:
 
 
 @pytest.mark.parametrize("max_iters", [0, 10])
-@pytest.mark.parametrize("oracle, make", [
-    (oracles.oracle_lasso_huber, LassoInstance.random),
-    (oracles.oracle_lasso, LassoInstance.random),
-    (oracles.oracle_svm_qp, SvmInstance.separable_blobs),
+@pytest.mark.parametrize("oracle, make, budget", [
+    (oracles.oracle_lasso_huber, LassoInstance.random, "_HUBER_MAX_SWEEPS"),
+    (oracles.oracle_lasso, LassoInstance.random, "_LASSO_MAX_SWEEPS"),
+    (oracles.oracle_svm_qp, SvmInstance.separable_blobs, "_SVM_MAX_ITERS"),
 ], ids=["lasso_huber", "lasso", "svm"])
-def test_small_budget_raises(oracle, make, max_iters):
+def test_small_budget_raises(monkeypatch, oracle, make, budget, max_iters):
+    monkeypatch.setattr(oracles, budget, max_iters)
     with pytest.raises(oracles.OracleFailure, match="stalled with step"):
-        oracle(make(seed=0), max_iters=max_iters)
+        oracle(make(seed=0))
 
 
 def test_oracles_import_no_engine_code():

@@ -12,8 +12,10 @@ bytecode the other had to compile.
 Printed: per pair, the change/parent ratio of every end-to-end metric;
 then per metric each side's median, the median ratio, how many pairs
 went each way, and the parent's interquartile range as a share of its
-median (a change smaller than that is not resolved).  Exits 1 as soon as
-a run fails, reports a failed operation or an incorrect result.
+median (a change smaller than that is not resolved); last, one verdict per
+end-to-end metric, judged by the `better` and `bound` that the change
+checkout's BENCHMARK.json gives it (see `verdict`).  Exits 1 as soon as a
+run fails, reports a failed operation or an incorrect result.
 """
 
 from __future__ import annotations
@@ -45,13 +47,44 @@ def run_side(checkout: Path, args) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def iqr_share(values) -> float:
-    """Interquartile range over the median; 0 for fewer than two values."""
+def iqr(values) -> float:
+    """Interquartile range; 0 for fewer than two values."""
     if len(values) < 2:
         return 0.0
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def iqr_share(values) -> float:
+    """Interquartile range over the median; 0 for a zero median."""
     median = statistics.median(values)
-    return (q3 - q1) / median if median else 0.0
+    return iqr(values) / median if median else 0.0
+
+
+def verdict(parent, change, better: str, bound: float) -> str:
+    """One end-to-end metric's verdict over paired runs, the first that holds:
+
+    - `gain`: the change is better in at least 9 of every 10 pairs (ties
+      count for neither side), and its median is better than the parent's
+      by more than the parent's interquartile range;
+    - `over bound`: the change's median is worse than the parent's by more
+      than `bound` times the parent's median;
+    - `unresolved`: the parent's interquartile range exceeds `bound` times
+      its median, and not every change run is better than every parent run;
+    - `within bound` otherwise.
+    `better` is "lower" or "higher".
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = [sign * v for v in parent], [sign * v for v in change]  # lower is better
+    wins = sum(b < a for a, b in zip(p, c))
+    med_p, med_c = statistics.median(p), statistics.median(c)
+    if 10 * wins >= 9 * len(p) and med_p - med_c > iqr(p):
+        return "gain"
+    if med_c - med_p > bound * abs(med_p):
+        return "over bound"
+    if iqr(p) > bound * abs(med_p) and not max(c) < min(p):
+        return "unresolved"
+    return "within bound"
 
 
 def ratio(change: float, parent: float) -> float:
@@ -73,6 +106,10 @@ def main(argv=None) -> int:
     for side, path in sides.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
+    declared = sides["change"] / "BENCHMARK.json"
+    if not declared.is_file():
+        parser.error(f"change checkout {sides['change']} has no BENCHMARK.json")
+    end_to_end = json.loads(declared.read_text())["end_to_end"]
 
     runs = {"parent": [], "change": []}
     for k in range(args.pairs):
@@ -94,6 +131,13 @@ def main(argv=None) -> int:
         med_ratio = statistics.median(ratio(b, a) for a, b in zip(p, c))
         print(f"{m:14s} {statistics.median(p):12.6g} {statistics.median(c):12.6g} "
               f"{med_ratio:7.3f} {lower:6d} {higher:6d} {iqr_share(p):10.1%}")
+    print()
+    for entry in end_to_end:
+        m = entry["name"]
+        p = [r[m] for r in runs["parent"]]
+        c = [r[m] for r in runs["change"]]
+        print(f"{m:14s} {verdict(p, c, entry['better'], entry['bound'])} "
+              f"({entry['better']} is better, bound {entry['bound']:.0%})")
     return 0
 
 
